@@ -15,31 +15,49 @@ the classic construction, which the SABE benchmark compares against.
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Iterable, List, Tuple
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, List, Tuple
 
 from repro.em.storage import StorageManager
 from repro.ppbtree.ppbtree import MultiversionBTree
 from repro.segments.segment import HorizontalSegment
 
+Event = Tuple[float, int, HorizontalSegment]
 
-def sweep_events(
-    segments: Iterable[HorizontalSegment],
-) -> List[Tuple[float, int, HorizontalSegment]]:
+
+def sweep_events(segments: Iterable[HorizontalSegment]) -> List[Event]:
     """The sorted endpoint event list of the sweep.
 
     Each event is ``(x, kind, segment)`` with ``kind`` 0 for a deletion
     (right endpoint) and 1 for an insertion (left endpoint); deletions sort
     before insertions at equal x so a point's dominated predecessors leave
-    the snapshot before its own segment enters.
+    the snapshot before its own segment enters.  Events are ordered by
+    ``(x, kind, y)``, ties kept in input order.
     """
-    events: List[Tuple[float, int, HorizontalSegment]] = []
-    for segment in segments:
-        events.append((segment.x_left, 1, segment))
-        if not math.isinf(segment.x_right):
-            events.append((segment.x_right, 0, segment))
-    events.sort(key=lambda event: (event[0], event[1], event[2].y))
-    return events
+    return list(_iter_events(segments))
+
+
+def _iter_events(segments: Iterable[HorizontalSegment]) -> Iterator[Event]:
+    """:func:`sweep_events` as a stream: insertions sorted by left endpoint
+    and deletions by right endpoint, merged with deletions first at equal x.
+
+    Both sorts are stable, so the order is exactly the one a single sort of
+    all events by ``(x, kind, y)`` gives, without holding an event tuple
+    per endpoint for the whole sweep.
+    """
+    segments = list(segments)
+    inserts = sorted(segments, key=attrgetter("x_left", "y"))
+    deletes = sorted(
+        (s for s in segments if not math.isinf(s.x_right)),
+        key=attrgetter("x_right", "y"),
+    )
+    return heapq.merge(
+        ((s.x_right, 0, s) for s in deletes),
+        ((s.x_left, 1, s) for s in inserts),
+        key=itemgetter(0, 1),
+    )
 
 
 def build_segment_ppbtree(
@@ -54,7 +72,7 @@ def build_segment_ppbtree(
     construction the paper compares against.
     """
     tree = MultiversionBTree(storage)
-    for x, kind, segment in sweep_events(segments):
+    for x, kind, segment in _iter_events(segments):
         if cold_cache:
             storage.drop_cache()
         if kind == 1:

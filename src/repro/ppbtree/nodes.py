@@ -9,7 +9,7 @@ from typing import Any, List
 INF = math.inf
 
 
-@dataclass
+@dataclass(slots=True)
 class MVEntry:
     """A versioned entry.
 
@@ -34,12 +34,23 @@ class MVEntry:
         return self.end == INF
 
 
-@dataclass
+@dataclass(slots=True)
 class MVNode:
-    """One block of the multiversion B-tree (leaf or internal)."""
+    """One block of the multiversion B-tree (leaf or internal).
+
+    ``entries`` are kept in ``(key, start)`` order and ``live`` counts the
+    entries alive in the current version.  ``live`` is counted once when the
+    node is made; after that the tree adjusts both on every update, so
+    inserts and deletes bisect instead of sorting and read ``live`` instead
+    of rescanning.
+    """
 
     is_leaf: bool
     entries: List[MVEntry] = field(default_factory=list)
+    live: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.live = sum(1 for entry in self.entries if entry.alive_now)
 
     def record_size(self) -> int:
         """Size in records (one per entry)."""
@@ -53,7 +64,7 @@ class MVNode:
 
     def live_count(self) -> int:
         """Number of currently live entries."""
-        return sum(1 for entry in self.entries if entry.alive_now)
+        return self.live
 
     def __len__(self) -> int:
         return len(self.entries)

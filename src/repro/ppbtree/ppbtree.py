@@ -11,11 +11,19 @@ guarantees a minimum number of entries alive at each version it spans
 
 from __future__ import annotations
 
-import math
+import bisect
+from itertools import islice
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.em.storage import StorageManager
 from repro.ppbtree.nodes import INF, MVEntry, MVNode
+
+# Every node keeps its entries in this order, so searches bisect instead of
+# sorting and a live filter of ``entries`` is already in key order.
+_entry_order = attrgetter("key", "start")
+_entry_key = attrgetter("key")
+_root_start = itemgetter(0)
 
 
 class MultiversionBTree:
@@ -54,8 +62,10 @@ class MultiversionBTree:
             if len(leaf.entries) + 1 > self.capacity:
                 self._restructure(path, version)
                 continue
-            leaf.entries.append(MVEntry(key, version, INF, value))
-            leaf.entries.sort(key=lambda e: (e.key, e.start))
+            bisect.insort(
+                leaf.entries, MVEntry(key, version, INF, value), key=_entry_order
+            )
+            leaf.live += 1
             self.storage.write(leaf_id, leaf)
             return
 
@@ -68,15 +78,19 @@ class MultiversionBTree:
         path = self._descend_current(key)
         leaf_id, leaf = path[-1]
         target = None
-        for entry in leaf.entries:
-            if entry.alive_now and entry.key == key:
+        index = bisect.bisect_left(leaf.entries, key, key=_entry_key)
+        for entry in islice(leaf.entries, index, None):
+            if entry.key != key:
+                break
+            if entry.alive_now:
                 target = entry
                 break
         if target is None:
             return False
         target.end = version
+        leaf.live -= 1
         self.storage.write(leaf_id, leaf)
-        if leaf.live_count() < self.live_min and len(path) > 1:
+        if leaf.live < self.live_min and len(path) > 1:
             self._restructure(path, version)
         return True
 
@@ -91,14 +105,13 @@ class MultiversionBTree:
     # Queries against arbitrary versions
     # ------------------------------------------------------------------
     def root_for(self, version: float) -> Optional[int]:
-        """Block id of the root of the snapshot at ``version``."""
-        candidate: Optional[int] = None
-        for start, root_id in self.roots:
-            if start <= version:
-                candidate = root_id
-            else:
-                break
-        return candidate
+        """Block id of the root of the snapshot at ``version``.
+
+        The last root whose first version is ``<= version``; ``roots`` is
+        sorted by version, so this is one bisection.
+        """
+        index = bisect.bisect_right(self.roots, version, key=_root_start)
+        return self.roots[index - 1][1] if index else None
 
     def range_query(self, version: float, key_lo: Any, key_hi: Any) -> List[Any]:
         """Values of entries alive at ``version`` with key in ``[key_lo, key_hi]``."""
@@ -136,7 +149,7 @@ class MultiversionBTree:
     ) -> bool:
         """Returns ``False`` when the visitor asked to stop."""
         node: MVNode = self.storage.read(node_id)
-        live = sorted(node.live_entries(version), key=lambda e: e.key)
+        live = node.live_entries(version)
         if node.is_leaf:
             for entry in live:
                 if entry.key < key_lo:
@@ -201,16 +214,16 @@ class MultiversionBTree:
             path.append((node_id, node))
             if node.is_leaf:
                 return path
-            live = sorted(
-                (e for e in node.entries if e.alive_now), key=lambda e: e.key
-            )
-            chosen = live[0]
-            for entry in live:
-                if entry.key <= key:
-                    chosen = entry
-                else:
-                    break
-            node_id = chosen.value
+            # The last live router with key <= ``key``, else the first live
+            # router (which also covers keys below it).
+            entries = node.entries
+            index = bisect.bisect_right(entries, key, key=_entry_key)
+            while index and not entries[index - 1].alive_now:
+                index -= 1
+            if index:
+                node_id = entries[index - 1].value
+            else:
+                node_id = next(e for e in entries if e.alive_now).value
 
     def _restructure(self, path: List[Tuple[int, MVNode]], version: float) -> None:
         """Version-copy the last node of ``path`` (merging / splitting as needed)."""
@@ -221,6 +234,7 @@ class MultiversionBTree:
         live = [e for e in node.entries if e.alive_now]
         for entry in live:
             entry.end = version
+        node.live = 0
         self.storage.write(node_id, node)
         copied = [MVEntry(e.key, version, INF, e.value) for e in live]
         dead_ids = [node_id]
@@ -256,14 +270,19 @@ class MultiversionBTree:
         for entry in parent_node.entries:
             if entry.alive_now and entry.value in dead_ids:
                 entry.end = version
+                parent_node.live -= 1
         for new_id, new_node in new_nodes:
-            router = min(e.key for e in new_node.entries) if new_node.entries else -INF
-            parent_node.entries.append(MVEntry(router, version, INF, new_id))
-        parent_node.entries.sort(key=lambda e: (e.key, e.start))
+            router = new_node.entries[0].key if new_node.entries else -INF
+            bisect.insort(
+                parent_node.entries,
+                MVEntry(router, version, INF, new_id),
+                key=_entry_order,
+            )
+            parent_node.live += 1
         self.storage.write(parent_id, parent_node)
         if (
             len(parent_node.entries) > self.capacity
-            or parent_node.live_count() < self.live_min
+            or parent_node.live < self.live_min
         ):
             self._restructure(path[:-1], version)
 
@@ -272,9 +291,7 @@ class MultiversionBTree:
     ) -> Optional[Tuple[int, List[MVEntry]]]:
         """Pick a live sibling of ``node_id``, end its live entries, return them."""
         parent_id, parent_node = parent
-        live_children = sorted(
-            (e for e in parent_node.entries if e.alive_now), key=lambda e: e.key
-        )
+        live_children = parent_node.live_entries()
         position = next(
             (i for i, e in enumerate(live_children) if e.value == node_id), None
         )
@@ -289,9 +306,10 @@ class MultiversionBTree:
             return None
         sibling_id = sibling_entry.value
         sibling: MVNode = self.storage.read(sibling_id)
-        sibling_live = [e for e in sibling.entries if e.alive_now]
+        sibling_live = sibling.live_entries()
         for entry in sibling_live:
             entry.end = version
+        sibling.live = 0
         self.storage.write(sibling_id, sibling)
         return sibling_id, sibling_live
 
@@ -303,7 +321,7 @@ class MultiversionBTree:
             return
         entries = []
         for new_id, new_node in new_nodes:
-            router = min(e.key for e in new_node.entries) if new_node.entries else -INF
+            router = new_node.entries[0].key if new_node.entries else -INF
             entries.append(MVEntry(router, version, INF, new_id))
         is_leaf = False
         root = MVNode(is_leaf=is_leaf, entries=entries)

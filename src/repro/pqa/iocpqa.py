@@ -139,12 +139,7 @@ class IOCPQA:
         blocks, so the construction writes ``O(survivors / b)`` blocks.
         """
         queue = cls(storage, record_capacity)
-        surviving: List[Item] = []
-        for key, payload in items:
-            cut = bisect.bisect_left([k for k, _ in surviving], key)
-            del surviving[cut:]
-            surviving.append((key, payload))
-        return queue._from_sorted_run(surviving)
+        return queue._from_sorted_run(_attrite_run(items))
 
     @classmethod
     def build_in_memory(
@@ -161,11 +156,7 @@ class IOCPQA:
         further I/O (the queue lives only for the duration of the query).
         """
         queue = cls(storage, record_capacity)
-        surviving: List[Item] = []
-        for key, payload in items:
-            cut = bisect.bisect_left([k for k, _ in surviving], key)
-            del surviving[cut:]
-            surviving.append((key, payload))
+        surviving = _attrite_run(items)
         if not surviving:
             return queue
         root = _MemLeaf(tuple(surviving))
@@ -371,6 +362,21 @@ class IOCPQA:
 # ----------------------------------------------------------------------
 # Node-level helpers
 # ----------------------------------------------------------------------
+def _attrite_run(items: Sequence[Item]) -> List[Item]:
+    """The survivors of inserting ``items`` one by one with attrition.
+
+    The survivors form a strictly increasing stack, and a new key attrites
+    exactly the suffix of keys ``>=`` it, so each element is pushed and
+    popped at most once.
+    """
+    surviving: List[Item] = []
+    for key, payload in items:
+        while surviving and surviving[-1][0] >= key:
+            surviving.pop()
+        surviving.append((key, payload))
+    return surviving
+
+
 def _truncate(node: Optional[_Node], threshold: Key) -> Optional[_Node]:
     """Remove every element with key >= ``threshold`` (lazy, zero I/O)."""
     if node is None:

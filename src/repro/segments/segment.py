@@ -9,7 +9,7 @@ from typing import Optional
 from repro.core.point import Point
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class HorizontalSegment:
     """A horizontal segment ``[x_left, x_right[ x y``.
 

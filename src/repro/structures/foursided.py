@@ -115,34 +115,36 @@ class FourSidedStructure:
         # before the next (amortized) rebuild.
         leaf_fill = max(2, self.storage.block_size // 2)
         fanout = self._fanout_for(len(self.points))
-        level: List[Tuple[int, float, List[Point]]] = []
         ordered = sorted(self.points, key=lambda p: p.x)
         if not ordered:
             self.root_id = self.storage.create(_LeafBlock(points=[]))
             return
+        # Each point is swapped once; a node's subtree is a contiguous run
+        # of ``ordered``, so its right-open structure gets the same run of
+        # ``swapped``.  Level entries are (block id, x-max, run start, run end).
+        swapped = [_swap(p) for p in ordered]
+        level: List[Tuple[int, float, int, int]] = []
         for start in range(0, len(ordered), leaf_fill):
             chunk = ordered[start : start + leaf_fill]
             leaf_id = self.storage.create(_LeafBlock(points=chunk))
-            level.append((leaf_id, chunk[-1].x, chunk))
+            level.append((leaf_id, chunk[-1].x, start, start + len(chunk)))
         while len(level) > 1:
-            next_level: List[Tuple[int, float, List[Point]]] = []
+            next_level: List[Tuple[int, float, int, int]] = []
             for start in range(0, len(level), fanout):
                 group = level[start : start + fanout]
-                subtree_points: List[Point] = []
-                for _, _, pts in group:
-                    subtree_points.extend(pts)
+                run_start, run_end = group[0][2], group[-1][3]
                 right_open = DynamicTopOpenStructure(
                     self.storage,
-                    points=[_swap(p) for p in subtree_points],
+                    points=swapped[run_start:run_end],
                     epsilon=0.0,
                 )
                 node = _InternalBlock(
-                    children=[node_id for node_id, _, _ in group],
-                    separators=[x_max for _, x_max, _ in group],
+                    children=[entry[0] for entry in group],
+                    separators=[entry[1] for entry in group],
                     right_open=right_open,
                 )
                 node_id = self.storage.create(node)
-                next_level.append((node_id, group[-1][1], subtree_points))
+                next_level.append((node_id, group[-1][1], run_start, run_end))
             level = next_level
         self.root_id = level[0][0]
 

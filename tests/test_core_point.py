@@ -1,5 +1,10 @@
 """Unit tests for points and the dominance relation."""
 
+import copy
+import dataclasses
+
+import pytest
+
 from repro.core.point import (
     Point,
     dominates,
@@ -57,3 +62,36 @@ def test_leftmost_dominator():
     assert leftmost_dominator(Point(1, 1), points) == Point(2, 5)
     assert leftmost_dominator(Point(6, 2), points) is None
     assert leftmost_dominator(Point(4, 3), points) is None
+
+
+def test_point_is_frozen_and_hashable():
+    p = Point(1.5, 2.5, ident=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.x = 9
+    assert hash(p) == hash(Point(1.5, 2.5, 3))
+    assert len({p, Point(1.5, 2.5, 3), Point(1.5, 2.5, 4)}) == 2
+    assert {p: "v"}[Point(1.5, 2.5, 3)] == "v"
+
+
+def test_point_orders_by_x_then_y_then_ident():
+    points = [Point(2, 1, 0), Point(1, 3, 2), Point(1, 3, 1), Point(1, 2, 5)]
+    assert sorted(points) == [
+        Point(1, 2, 5),
+        Point(1, 3, 1),
+        Point(1, 3, 2),
+        Point(2, 1, 0),
+    ]
+    assert Point(1, 3, 1) < Point(1, 3, 2) < Point(2, 0, 0)
+
+
+def test_point_is_slotted_and_deep_copyable():
+    """Points carry no per-instance dict, and deep copies (the crash
+    simulator deep-copies whole stores) stay equal, frozen and hashable."""
+    p = Point(1.0, 2.0, ident=7)
+    assert not hasattr(p, "__dict__")
+    clone = copy.deepcopy({"points": [p, p]})
+    copied = clone["points"][0]
+    assert copied == p and hash(copied) == hash(p)
+    assert clone["points"][1] is copied
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        copied.y = 0

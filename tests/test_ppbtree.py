@@ -4,13 +4,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.point import Point
 from repro.em.config import EMConfig
+from repro.em.counters import IOSnapshot
 from repro.em.storage import StorageManager
 from repro.ppbtree import MultiversionBTree, build_segment_ppbtree, sweep_events
 from repro.ppbtree.nodes import MVEntry, MVNode
 from repro.segments import compute_sigma
+from repro.workloads import anticorrelated_points
 
 
 def make_storage(block_size=16):
@@ -115,6 +119,23 @@ def test_sweep_events_order():
     assert len(events) == len(segments) + len(bounded)
 
 
+def test_sweep_events_match_one_sort_of_all_endpoints():
+    """The event order is one stable sort of every endpoint by (x, kind, y),
+    whatever order the segments arrive in."""
+    segments = compute_sigma(random_points(400, 6))
+    random.Random(1).shuffle(segments)
+    reference = []
+    for segment in segments:
+        reference.append((segment.x_left, 1, segment))
+        if not math.isinf(segment.x_right):
+            reference.append((segment.x_right, 0, segment))
+    reference.sort(key=lambda event: (event[0], event[1], event[2].y))
+    got = sweep_events(segments)
+    assert [(x, kind, id(s)) for x, kind, s in got] == [
+        (x, kind, id(s)) for x, kind, s in reference
+    ]
+
+
 def test_segment_ppbtree_snapshots_match_live_segments():
     points = random_points(250, 2)
     segments = compute_sigma(points)
@@ -137,3 +158,103 @@ def test_segment_ppbtree_space_is_linear():
     blocks = tree.block_count()
     # O(n/B) blocks with a generous constant.
     assert blocks <= 12 * (len(points) / 32 + 1)
+
+
+def reachable_nodes(tree):
+    """Every node reachable from any root version, peeked after a flush so
+    the walk charges no reads."""
+    tree.storage.flush()
+    seen, stack, nodes = set(), [root_id for _, root_id in tree.roots], []
+    while stack:
+        node_id = stack.pop()
+        if node_id in seen:
+            continue
+        seen.add(node_id)
+        node = tree.storage.disk.peek(node_id)
+        nodes.append(node)
+        if not node.is_leaf:
+            stack.extend(entry.value for entry in node.entries)
+    return nodes
+
+
+def assert_node_invariants(tree):
+    for node in reachable_nodes(tree):
+        order = [(e.key, e.start) for e in node.entries]
+        assert order == sorted(order)
+        assert node.live_count() == sum(1 for e in node.entries if e.alive_now)
+
+
+# (kind, key, version step): few distinct keys, so keys repeat and deletes
+# often name a key that is not live.
+updates = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "insert", "delete"]),
+        st.integers(min_value=0, max_value=24),
+        st.integers(min_value=0, max_value=2),
+    ),
+    max_size=250,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(updates)
+def test_entries_stay_ordered_and_live_counts_exact(ops):
+    """After every update, each reachable node's entries are in (key, start)
+    order and its maintained live count equals a recount."""
+    tree = MultiversionBTree(make_storage(block_size=16))
+    version = 0
+    for kind, key, step in ops:
+        version += step
+        if kind == "insert":
+            tree.insert(key, key, version=version)
+        else:
+            tree.delete(key, version=version)
+        assert_node_invariants(tree)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=400), unique=True, max_size=200))
+def test_root_for_is_last_root_starting_at_or_before(probes):
+    """The bisected root lookup returns what a scan of ``roots`` returns."""
+    tree = build_segment_ppbtree(make_storage(), compute_sigma(random_points(300, 9)))
+    assert len(tree.roots) > 10
+    for version in [-1, *probes, math.inf]:
+        expected = None
+        for start, root_id in tree.roots:
+            if start <= version:
+                expected = root_id
+        assert tree.root_for(version) == expected
+
+
+# Ledger of the seeded sweeps below, pinned so that a speed-up of the build
+# cannot move a block: (reads, writes, allocations, frees, version copies,
+# root versions, blocks).
+GOLDEN_LEDGER = {
+    ("uniform", 64, False): (0, 41, 57, 0, 56, 57, 57),
+    ("uniform", 64, True): (5993, 6049, 57, 0, 56, 57, 57),
+    ("uniform", 16, False): (1, 863, 878, 0, 839, 443, 878),
+    ("uniform", 16, True): (10337, 7304, 878, 0, 839, 443, 878),
+    ("anti", 64, False): (0, 94, 110, 0, 107, 102, 110),
+    ("anti", 64, True): (6230, 6070, 110, 0, 107, 102, 110),
+    ("anti", 16, False): (3, 766, 779, 0, 709, 163, 779),
+    ("anti", 16, True): (11491, 7340, 779, 0, 709, 163, 779),
+}
+
+
+@pytest.mark.parametrize("shape, block_size, cold_cache", sorted(GOLDEN_LEDGER))
+def test_sigma_sweep_ledger_is_pinned(shape, block_size, cold_cache):
+    """SABE and classic (cold-cache) builds of Sigma(P) charge exactly the
+    pinned transfers and allocate exactly the pinned blocks."""
+    if shape == "uniform":
+        points = random_points(3000, 11)
+    else:
+        points = sorted(anticorrelated_points(3000, seed=5), key=lambda p: p.x)
+    storage = StorageManager(EMConfig(block_size=block_size, memory_blocks=16))
+    tree = build_segment_ppbtree(storage, compute_sigma(points), cold_cache=cold_cache)
+    reads, writes, allocations, frees, copies, roots, blocks = GOLDEN_LEDGER[
+        (shape, block_size, cold_cache)
+    ]
+    assert storage.snapshot() == IOSnapshot(reads, writes, allocations, frees)
+    assert tree.version_copies == copies
+    assert len(tree.roots) == roots
+    assert tree.block_count() == blocks

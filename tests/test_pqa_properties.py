@@ -79,3 +79,32 @@ def test_catenation_equals_filter_then_concat(first_values, second_values):
         [k for k in first_keys if cutoff is None or k < cutoff] + second_keys
     )
     assert combined.keys() == expected
+
+
+def attrite_one_by_one(keys):
+    """Reference InsertAndAttrite replay: each new key evicts every
+    survivor whose key is >= it (an equal key evicts too)."""
+    survivors = []
+    for index, key in enumerate(keys):
+        survivors = [item for item in survivors if item[0] < key]
+        survivors.append((key, index))
+    return survivors
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=12), max_size=120))
+def test_bulk_builds_match_one_by_one_attrition(values):
+    """build and build_in_memory keep exactly the survivors (and payloads)
+    of inserting the items one at a time, duplicates included."""
+    items = [(key, index) for index, key in enumerate(values)]
+    expected = attrite_one_by_one(values)
+    storage = make_storage()
+    assert IOCPQA.build(storage, items, 4).items() == expected
+    assert IOCPQA.build_in_memory(storage, items, 4).items() == expected
+
+
+def test_equal_key_evicts_the_earlier_item():
+    storage = make_storage()
+    items = [(3, "a"), (5, "b"), (5, "c"), (4, "d"), (4, "e")]
+    assert IOCPQA.build(storage, items, 4).items() == [(3, "a"), (4, "e")]
+    assert IOCPQA.build_in_memory(storage, items, 4).items() == [(3, "a"), (4, "e")]
