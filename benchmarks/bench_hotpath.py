@@ -1,4 +1,4 @@
-"""Hot path: columnar merge kernels, pooled merge queue, concurrent reads.
+"""Hot path: columnar merge kernels and concurrent reads.
 
 Claims (ISSUE 9 acceptance):
 
@@ -6,9 +6,6 @@ Claims (ISSUE 9 acceptance):
   reference sweeps and run at least **2x faster** in wall-clock terms,
   while charging zero block transfers on either side (they are pure
   in-memory compute over resident candidates);
-* the **pooled skip-list queue** drives the external multiway merge to
-  the same output order and the **bit-identical storage ledger** as the
-  ``heapq`` baseline, with both sides' seconds reported honestly;
 * **snapshot-concurrent read batches** return the same answers and the
   same engine block totals as the serial read discipline while serving
   strictly **higher aggregate throughput**, and the engine's **ledger
@@ -38,7 +35,6 @@ JSON_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_hotpath.json"
 QUICK = dict(
     merge_n=30_000,
     merge_repeats=3,
-    queue_records=8_000,
     serving_n=8192,
     clients=6,
     requests_per_client=16,
@@ -53,7 +49,7 @@ def run_sweeps(quick: bool = False):
         [table],
         str(JSON_PATH),
         meta={
-            "experiment": "hotpath_columnar_pqueue_concurrent_reads",
+            "experiment": "hotpath_columnar_concurrent_reads",
             "quick": quick,
             "summary": summary,
         },
@@ -86,8 +82,7 @@ def test_json_report_written(sweeps):
     payload = json.loads(JSON_PATH.read_text())
     assert payload["schema"] == 1
     assert (
-        payload["meta"]["experiment"]
-        == "hotpath_columnar_pqueue_concurrent_reads"
+        payload["meta"]["experiment"] == "hotpath_columnar_concurrent_reads"
     )
     assert payload["tables"]
 

@@ -1,15 +1,13 @@
 """The leveled update path: bounded write spikes, visible level lifecycle.
 
 Scenario: a write-heavy deployment keeps absorbing inserts and deletes
-while serving queries.  On the legacy threshold-compact path, the update
-that trips the delta threshold stalls on an O(n/B) stop-the-world shard
-rebuild.  On the leveled path (the default), the memtable seals into an
+while serving queries.  When the memtable fills it seals into an
 immutable component and a compaction scheduler merges levels downward in
 bounded increments piggybacked on later updates -- so the worst single
-update pays merge_step_blocks transfers, not a rebuild.
+update pays merge_step_blocks transfers, never an O(n/B) shard rebuild.
 
-The example streams the same update mix through both paths, prints the
-per-op I/O spike profile, then walks the level lifecycle: memtable ->
+The example streams an insert mix through the service, prints the worst
+single-update spike next to n/B, then walks the level lifecycle: memtable ->
 frozen -> L1..Lk (engine.explain shows the layout and the instantiated
 amortized bound), drain() to pay all merge debt at once, and compact()
 as the explicit operator-driven fold back into the base shards.
@@ -24,7 +22,7 @@ from repro.engine import QueryRequest, SkylineEngine
 from repro.service import ServiceConfig
 
 
-def stream(update_path: str, base, payloads):
+def stream(base, payloads):
     engine = SkylineEngine.sharded(
         base,
         ServiceConfig(
@@ -33,7 +31,6 @@ def stream(update_path: str, base, payloads):
             memory_blocks=16,
             delta_threshold=64,
             merge_step_blocks=8,
-            update_path=update_path,
         ),
     )
     spikes = []
@@ -54,16 +51,15 @@ def main() -> None:
         for i in range(200)
     ]
 
-    print("same 200-insert stream, both update paths:")
-    for path in ("threshold-compact", "leveled"):
-        engine, spikes = stream(path, base, payloads)
-        print(
-            f"  {path:>17}: mean {sum(spikes) / len(spikes):7.2f} I/Os per "
-            f"update, worst single update {max(spikes):5d} I/Os"
-        )
-
-    engine, _ = stream("leveled", base, payloads)
+    engine, spikes = stream(base, payloads)
     service = engine.backend.service
+    n_over_b = n / service.config.block_size
+    print(
+        f"200-insert stream: mean {sum(spikes) / len(spikes):.2f} I/Os per "
+        f"update, worst single update {max(spikes)} I/Os "
+        f"(n/B = {n_over_b:.0f})"
+    )
+    assert max(spikes) <= service.config.merge_step_blocks < n_over_b
 
     print("\nlevel lifecycle after the stream (memtable is level 0):")
     for row in service.describe()["levels"]:

@@ -59,8 +59,8 @@ RULE_BAD_DIRECTIVE = "unknown-directive-target"
 
 #: Sub-packages of ``src/repro`` the pass runs over by default.  ``core``
 #: carries no locks of its own; it is in scope so the hot-path kernels
-#: (``core/columns.py``, ``core/pqueue.py``) stay covered by the guard
-#: and directive checks as they grow.
+#: (``core/columns.py``) stay covered by the guard and directive checks
+#: as they grow.
 DEFAULT_SCOPE: Tuple[str, ...] = (
     "serve",
     "service",

@@ -175,32 +175,3 @@ class RangeSkylineIndex:
         bound.
         """
         return self._four_sided.epsilon
-
-    def engine(self) -> "object":
-        """Migration shim: this index wrapped as a :class:`repro.engine
-        .SkylineEngine` (the recommended request/response front door)."""
-        from repro.engine import LocalIndexBackend, SkylineEngine
-
-        return SkylineEngine(LocalIndexBackend(self))
-
-
-def __getattr__(name: str):
-    # Deprecated lazy re-export of the service tier.  ``repro.service``
-    # builds on this module, so a top-level import here would be circular;
-    # resolving the names on first attribute access keeps ``from repro.api
-    # import SkylineService`` working without the cycle -- but new code
-    # should import from ``repro.service`` (or serve everything through
-    # ``repro.engine.SkylineEngine``).
-    if name in ("SkylineService", "ServiceConfig"):
-        import warnings
-
-        warnings.warn(
-            f"importing {name} from repro.api is deprecated; import it from "
-            "repro.service, or serve through repro.engine.SkylineEngine",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro import service
-
-        return getattr(service, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

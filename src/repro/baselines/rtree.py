@@ -12,13 +12,13 @@ solution", which the benchmark tables confirm on adversarial inputs.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
 from repro.core.columns import sort_points_by_x
 from repro.core.point import Point
-from repro.core.pqueue import SkipListPQ
 from repro.core.queries import RangeQuery
 from repro.em.storage import StorageManager
 
@@ -139,21 +139,19 @@ class RTreeBBS:
         if self.tree.root_id is None:
             return []
         result: List[Point] = []
-        queue = SkipListPQ()
+        heap: List[Tuple[float, int, str, object]] = []
         counter = 0
 
         def push(kind: str, payload: object, corner: Tuple[float, float]) -> None:
             nonlocal counter
             # Max-ordering on x + y of the dominating corner: entries whose
-            # best possible point is most dominant are expanded first.  The
-            # unique counter makes keys totally ordered, so the pooled
-            # queue pops in exactly the order the old binary heap did.
-            queue.push((-(corner[0] + corner[1]), counter, kind, payload))
+            # best possible point is most dominant are expanded first.
+            heapq.heappush(heap, (-(corner[0] + corner[1]), counter, kind, payload))
             counter += 1
 
         push("node", self.tree.root_id, self.tree.root_rect.upper_right())
-        while queue:
-            _, _, kind, payload = queue.pop()
+        while heap:
+            _, _, kind, payload = heapq.heappop(heap)
             if kind == "point":
                 point = payload  # type: ignore[assignment]
                 if not self._dominated(point, result):

@@ -13,7 +13,7 @@ bounds:
    sweep and the write count must fall monotonically as ``g`` grows.
 
 2. :func:`run_recovery_sweep` -- the snapshot-cadence trade-off.  At
-   cadence ``c`` (a snapshot every ``c``-th compaction), recovery costs
+   cadence ``c`` (a snapshot every ``c``-th checkpoint), recovery costs
    ``O(n/B)`` snapshot reads plus ``O(w/B)`` WAL-suffix reads where ``w``
    grows with ``c``: sparser snapshots write fewer blocks up front and
    replay more records after a crash.  Every recovered service is checked
@@ -130,10 +130,10 @@ def run_recovery_sweep(
     WAL-suffix replay.  The recovered live set and a skyline probe must
     match the pre-shutdown service exactly.
 
-    The sweep pins the legacy ``threshold-compact`` update path: its
-    auto-compactions are what drive the snapshot cadence being measured
-    (the leveled path checkpoints at explicit drains instead; its
-    update-cost profile is benchmarked by ``bench_updates``).
+    A full :meth:`~repro.service.SkylineService.drain` after every
+    ``delta_threshold``-th insert is the checkpoint that drives the
+    snapshot cadence being measured (the update path itself never
+    checkpoints; its cost profile is benchmarked by ``bench_updates``).
     """
     table = BenchmarkTable(
         f"Recovery cost vs snapshot cadence -- n={n}, {updates} updates, "
@@ -154,7 +154,6 @@ def run_recovery_sweep(
                 block_size=block_size,
                 memory_blocks=memory_blocks,
                 delta_threshold=delta_threshold,
-                update_path="threshold-compact",
                 durability=True,
                 wal_group_commit=8,
                 snapshot_every_compactions=cadence,
@@ -164,6 +163,8 @@ def run_recovery_sweep(
         for i, point in enumerate(payloads):
             service.insert(point)
             live.append(point)
+            if (i + 1) % delta_threshold == 0:
+                service.drain()
             if i % 3 == 0:
                 victim = live.pop(rng.randrange(len(live)))
                 assert service.delete(victim)
@@ -192,7 +193,7 @@ def run_recovery_sweep(
             measured_io=recovery.get("recovery_io", 0),
             seconds=recovery_seconds,
             snapshot_every=cadence,
-            compactions=service.compactions,
+            drains=service.drains,
             snapshots=len(service.store.manifests),
             snapshot_blocks=service.store.snapshot_block_count(),
             replayed_records=recovery.get("replayed_records", 0),

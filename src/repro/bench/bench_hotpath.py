@@ -1,6 +1,6 @@
-"""Wall-clock hot-path benchmarks: columnar kernels, pooled queue, shared reads.
+"""Wall-clock hot-path benchmarks: columnar kernels and shared reads.
 
-Three cells, each timing a hot path twice -- the optimised implementation
+Two cells, each timing a hot path twice -- the optimised implementation
 against the reference it replaced -- while holding the repo's primary
 currency (block transfers on the simulated machines) bit-identical
 between the two sides.  Seconds are the headline here; the ledger
@@ -18,16 +18,7 @@ from doing less simulated I/O:
    "Columnar kernels and the charging boundary").  The acceptance claim
    is a >= 2x wall-clock speedup for the columnar side.
 
-2. **Pooled queue** (modes ``pooled-queue`` / ``heapq``): the same
-   multiway run merge (:func:`repro.em.sorting._merge_runs`) is driven
-   once by the pooled :class:`repro.core.pqueue.SkipListPQ` and once by
-   the ``heapq`` adapter.  Output record order and the full storage
-   ledger (reads, writes, totals) must be bit-identical; seconds are
-   reported honestly for both (the C-implemented ``heapq`` is a strong
-   opponent -- the pooled queue's claim is allocation-free steady state,
-   not a guaranteed win, so no speedup is asserted here).
-
-3. **Snapshot-concurrent reads** (modes ``serial-reads`` /
+2. **Snapshot-concurrent reads** (modes ``serial-reads`` /
    ``concurrent-reads``): identical closed-loop multi-client runs of
    *distinct* fresh-consistency rectangles against two identically built
    engines -- once with the classic serial read discipline
@@ -53,12 +44,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.bench.reporting import BenchmarkTable
 from repro.core.columns import PointColumns, backend_name
 from repro.core.point import Point
-from repro.core.pqueue import HeapQueue, SkipListPQ
 from repro.core.queries import RangeQuery
-from repro.em.config import EMConfig
-from repro.em.file import EMFile
-from repro.em.sorting import _merge_runs
-from repro.em.storage import StorageManager
 from repro.engine import QueryRequest, SkylineEngine
 from repro.serve import ServerConfig, SkylineServer
 from repro.service.merge import (
@@ -178,79 +164,7 @@ def run_merge_cell(
 
 
 # ----------------------------------------------------------------------
-# Cell 2: pooled skip-list queue vs heapq on the multiway merge
-# ----------------------------------------------------------------------
-def run_queue_cell(
-    n_records: int = 40_000,
-    run_count: int = 12,
-    block_size: int = 64,
-    memory_blocks: int = 16,
-    seed: int = 0,
-) -> Summary:
-    """Merge identical sorted runs with each queue; ledgers must match.
-
-    The records are the engine's own points keyed by x -- the same
-    engine then asserts the partition identity for the cell.
-    """
-    engine = SkylineEngine.sharded(
-        uniform_points(2048, universe=UNIVERSE, seed=seed),
-        shard_count=4,
-        block_size=16,
-        memory_blocks=8,
-    )
-    engine.query(RangeQuery(x_lo=0.0, x_hi=UNIVERSE / 2))
-
-    rng = random.Random(seed + 1)
-    records = [rng.random() for _ in range(n_records)]
-    chunk = max(1, n_records // run_count)
-    sorted_chunks = [
-        sorted(records[i : i + chunk]) for i in range(0, n_records, chunk)
-    ]
-
-    summary: Summary = {}
-    outputs: Dict[str, List[float]] = {}
-    ledgers: Dict[str, Tuple[int, int, int]] = {}
-    for mode, queue_type in (
-        ("pooled-queue", SkipListPQ),
-        ("heapq", HeapQueue),
-    ):
-        storage = StorageManager(
-            EMConfig(block_size=block_size, memory_blocks=memory_blocks)
-        )
-        runs = [
-            EMFile.from_records(storage, chunk_records, name=f"run{i}")
-            for i, chunk_records in enumerate(sorted_chunks)
-        ]
-        before = storage.snapshot()
-        started = time.perf_counter()
-        merged = _merge_runs(
-            storage, runs, key=lambda r: r, queue_type=queue_type
-        )
-        seconds = time.perf_counter() - started
-        delta = storage.snapshot() - before
-        outputs[mode] = list(merged.scan())
-        ledgers[mode] = (delta.reads, delta.writes, delta.reads + delta.writes)
-        summary[mode] = {
-            "records": float(n_records),
-            "runs": float(len(sorted_chunks)),
-            "seconds": round(seconds, 6),
-            "blocks": float(delta.reads + delta.writes),
-            "reads": float(delta.reads),
-            "writes": float(delta.writes),
-            "ledger_ok": 1.0 if _ledger_ok(engine) else 0.0,
-        }
-    if outputs["pooled-queue"] != outputs["heapq"]:
-        raise AssertionError("queue implementations merged different orders")
-    if ledgers["pooled-queue"] != ledgers["heapq"]:
-        raise AssertionError(
-            f"queue ledgers diverge: {ledgers['pooled-queue']} vs "
-            f"{ledgers['heapq']}"
-        )
-    return summary
-
-
-# ----------------------------------------------------------------------
-# Cell 3: serial vs snapshot-concurrent read batches
+# Cell 2: serial vs snapshot-concurrent read batches
 # ----------------------------------------------------------------------
 def _distinct_bands(count: int, seed: int) -> List[RangeQuery]:
     """``count`` pairwise-disjoint x-bands covering the universe.
@@ -386,18 +300,16 @@ def run_serving_cell(
 def run_hotpath_sweep(
     merge_n: int = 120_000,
     merge_repeats: int = 5,
-    queue_records: int = 40_000,
     serving_n: int = 8192,
     clients: int = 8,
     requests_per_client: int = 24,
     seed: int = 0,
 ) -> Tuple[BenchmarkTable, Summary]:
-    """The three hot-path cells; see the module docstring for the claims."""
+    """The two hot-path cells; see the module docstring for the claims."""
     summary: Summary = {}
     summary.update(
         run_merge_cell(n=merge_n, repeats=merge_repeats, seed=seed)
     )
-    summary.update(run_queue_cell(n_records=queue_records, seed=seed))
     summary.update(
         run_serving_cell(
             n=serving_n,
@@ -409,14 +321,12 @@ def run_hotpath_sweep(
 
     table = BenchmarkTable(
         f"Hot path -- columnar backend={backend_name()}, merge "
-        f"n={merge_n}, queue n={queue_records}, serving {clients} clients "
+        f"n={merge_n}, serving {clients} clients "
         f"x {requests_per_client} distinct rectangles"
     )
     for mode in (
         "columnar-merge",
         "object-merge",
-        "pooled-queue",
-        "heapq",
         "serial-reads",
         "concurrent-reads",
     ):
@@ -446,14 +356,6 @@ def check(summary: Summary) -> None:
         f"columnar merge speedup {speedup:.2f}x is below the 2x claim "
         f"({objects['seconds']:.4f}s vs {columnar['seconds']:.4f}s)"
     )
-    pooled = summary["pooled-queue"]
-    heap = summary["heapq"]
-    # Same merge, same machine model: the ledgers must agree exactly.
-    assert (pooled["reads"], pooled["writes"]) == (
-        heap["reads"],
-        heap["writes"],
-    )
-    assert pooled["blocks"] > 0, "the queue cell merged nothing"
     serial = summary["serial-reads"]
     concurrent = summary["concurrent-reads"]
     assert serial["served"] == serial["submitted"]

@@ -7,18 +7,11 @@ paper) and several construction paths rely on it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Type, Union
+import heapq
+from typing import Any, Callable, Iterator, List, Optional
 
-from repro.core.pqueue import HeapQueue, SkipListPQ
 from repro.em.file import EMFile
 from repro.em.storage import StorageManager
-
-#: Queue behind the multiway merge.  :class:`SkipListPQ` pools its nodes,
-#: so the steady-state pop/push cycle allocates nothing;
-#: ``benchmarks/bench_hotpath.py`` passes :class:`HeapQueue` instead to
-#: time the two on identical merges (transfers are charged per block read
-#: and written, so the ledger is bit-identical either way).
-MergeQueue = Union[SkipListPQ, HeapQueue]
 
 
 def external_sort(
@@ -78,20 +71,19 @@ def _merge_runs(
     storage: StorageManager,
     runs: List[EMFile],
     key: Callable[[Any], Any],
-    queue_type: Type[MergeQueue] = SkipListPQ,
 ) -> EMFile:
     """Merge up to ``M/B - 1`` sorted runs into one longer sorted run."""
     if len(runs) == 1:
         return runs[0]
     output = EMFile(storage, name=f"{runs[0].name}.merged")
     iterators: List[Iterator[Any]] = [run.scan() for run in runs]
-    queue = queue_type()
+    heap: List[Any] = []
     for run_index, iterator in enumerate(iterators):
-        _push_next(queue, iterator, run_index, key)
-    while queue:
-        _, _, record, run_index = queue.pop()
+        _push_next(heap, iterator, run_index, key)
+    while heap:
+        _, _, record, run_index = heapq.heappop(heap)
         output.append(record)
-        _push_next(queue, iterators[run_index], run_index, key)
+        _push_next(heap, iterators[run_index], run_index, key)
     output.close()
     return output
 
@@ -100,7 +92,7 @@ _tiebreak = 0
 
 
 def _push_next(
-    queue: MergeQueue,
+    heap: List[Any],
     iterator: Iterator[Any],
     run_index: int,
     key: Callable[[Any], Any],
@@ -111,7 +103,7 @@ def _push_next(
     except StopIteration:
         return
     _tiebreak += 1
-    queue.push((key(record), _tiebreak, record, run_index))
+    heapq.heappush(heap, (key(record), _tiebreak, record, run_index))
 
 
 def merge_sorted_files(
@@ -119,7 +111,6 @@ def merge_sorted_files(
     left: EMFile,
     right: EMFile,
     key: Optional[Callable[[Any], Any]] = None,
-    queue_type: Type[MergeQueue] = SkipListPQ,
 ) -> EMFile:
     """Merge two already-sorted files in a single linear pass.
 
@@ -127,4 +118,4 @@ def merge_sorted_files(
     endpoints with the stream of right endpoints costs ``O(n/B)`` I/Os.
     """
     key = key or (lambda record: record)
-    return _merge_runs(storage, [left, right], key, queue_type)
+    return _merge_runs(storage, [left, right], key)

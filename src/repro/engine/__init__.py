@@ -34,7 +34,6 @@ from repro.engine.plan import (
     BOUND_FOUR_SIDED,
     BOUND_STATIC_EASY,
     BOUND_UPDATE_LEVELED,
-    BOUND_UPDATE_THRESHOLD,
     EASY_TOP_OPEN_VARIANTS,
     QueryPlan,
     ScopePlan,
@@ -83,7 +82,6 @@ __all__ = [
     "BOUND_DYNAMIC_EASY",
     "BOUND_FOUR_SIDED",
     "BOUND_UPDATE_LEVELED",
-    "BOUND_UPDATE_THRESHOLD",
     "amortized_update_io",
     "CONSISTENCY_LEVELS",
     "OP_INSERT",

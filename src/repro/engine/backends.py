@@ -33,7 +33,6 @@ from repro.em.counters import IOSnapshot
 from repro.em.storage import StorageManager
 from repro.engine.plan import (
     BOUND_UPDATE_LEVELED,
-    BOUND_UPDATE_THRESHOLD,
     QueryPlan,
     amortized_update_io,
     build_plan,
@@ -289,18 +288,10 @@ class ShardedServiceBackend:
     """A :class:`repro.service.SkylineService` behind the engine API."""
 
     name = "sharded-service"
+    write_path = "leveled-lsm"
 
     def __init__(self, service: SkylineService) -> None:
         self.service = service
-
-    @property
-    def write_path(self) -> str:
-        """Label reports carry for updates: the configured update path."""
-        return (
-            "leveled-lsm"
-            if self.service.config.update_path == "leveled"
-            else "delta-buffer"
-        )
 
     @classmethod
     def build(
@@ -391,11 +382,11 @@ class ShardedServiceBackend:
     def plan(self, request: QueryRequest) -> QueryPlan:
         # Every shard (and every leveled component) is a static
         # RangeSkylineIndex over its resident points; the memtable merge
-        # is in-memory and charges no transfers.  On the leveled path the
-        # query additionally fans across every level structure, so the
-        # plan carries one scope per level and reports the level layout
-        # plus the amortized update bound instantiated with the actual
-        # B, n, growth factor and memtable capacity.
+        # is in-memory and charges no transfers.  The query additionally
+        # fans across every level structure, so the plan carries one
+        # scope per level and reports the level layout plus the amortized
+        # update bound instantiated with the actual B, n, growth factor
+        # and memtable capacity.
         service = self.service
         config = service.config
         visited = self._visited(request.rect)
@@ -406,60 +397,45 @@ class ShardedServiceBackend:
         if structure_for(request.variant) == "four-sided":
             epsilon = max(0.25, epsilon)  # the shard index floors it too
         level_scopes: List[Tuple[int, int]] = []
-        level_layout: List[Tuple[int, int]] = []
-        if service.leveled:
-            # Towers are per-shard: the layout and the per-level search
-            # terms are instantiated over the *visited* shards' towers
-            # only -- exactly the structures this query's execution fans
-            # across.  Level 0 counts the visited shards' memtable cuts
-            # plus their sealed-but-not-yet-flushed frozen memtables;
-            # level -1 aggregates inherited components through their
-            # refs' adoption intervals.
-            rect = request.rect
-            layout: Dict[int, int] = {0: 0}
-            for sid in visited:
-                shard = service.shards[sid]
-                tower = shard.tower
-                assert tower is not None
-                layout[0] += tower.pending_inserts() + sum(
-                    len(c) for c in tower.frozen
-                )
-                for level in sorted(tower.levels):
-                    comp = tower.levels[level]
-                    # Mirror the execution-side prune: a level with no
-                    # point in the rectangle's x-window answers for free,
-                    # so it adds no search term to the predicted cost.
-                    lo = comp.columns.bisect_x_left(rect.x_lo)
-                    if lo < len(comp.points) and comp.points[lo].x <= rect.x_hi:
-                        level_scopes.append((level, len(comp)))
-                    layout[level] = layout.get(level, 0) + len(comp)
-                for ref in tower.inherited:
-                    comp = ref.comp
-                    layout[-1] = layout.get(-1, 0) + len(ref)
-                    # The prune bisect runs against the ref-narrowed
-                    # window, like the execution side.
-                    x_lo = max(rect.x_lo, ref.x_lo)
-                    x_hi = rect.x_hi
-                    if ref.x_hi != math.inf:
-                        x_hi = min(
-                            x_hi, math.nextafter(ref.x_hi, -math.inf)
-                        )
-                    lo = max(comp.columns.bisect_x_left(x_lo), ref.lo)
-                    if lo < ref.hi and comp.points[lo].x <= x_hi:
-                        level_scopes.append((-1, len(ref)))
-            level_layout = [(level, layout[level]) for level in sorted(layout)]
-            update_path = "leveled"
-            update_bound = BOUND_UPDATE_LEVELED
-            update_io = amortized_update_io(
-                len(service),
-                self.block_size(),
-                config.level_growth,
-                config.delta_threshold,
+        # Towers are per-shard: the layout and the per-level search
+        # terms are instantiated over the *visited* shards' towers
+        # only -- exactly the structures this query's execution fans
+        # across.  Level 0 counts the visited shards' memtable cuts
+        # plus their sealed-but-not-yet-flushed frozen memtables;
+        # level -1 aggregates inherited components through their
+        # refs' adoption intervals.
+        rect = request.rect
+        layout: Dict[int, int] = {0: 0}
+        for sid in visited:
+            shard = service.shards[sid]
+            tower = shard.tower
+            assert tower is not None
+            layout[0] += tower.pending_inserts() + sum(
+                len(c) for c in tower.frozen
             )
-        else:
-            update_path = "threshold-compact"
-            update_bound = BOUND_UPDATE_THRESHOLD
-            update_io = len(service) / max(2, self.block_size())
+            for level in sorted(tower.levels):
+                comp = tower.levels[level]
+                # Mirror the execution-side prune: a level with no
+                # point in the rectangle's x-window answers for free,
+                # so it adds no search term to the predicted cost.
+                lo = comp.columns.bisect_x_left(rect.x_lo)
+                if lo < len(comp.points) and comp.points[lo].x <= rect.x_hi:
+                    level_scopes.append((level, len(comp)))
+                layout[level] = layout.get(level, 0) + len(comp)
+            for ref in tower.inherited:
+                comp = ref.comp
+                layout[-1] = layout.get(-1, 0) + len(ref)
+                # The prune bisect runs against the ref-narrowed
+                # window, like the execution side.
+                x_lo = max(rect.x_lo, ref.x_lo)
+                x_hi = rect.x_hi
+                if ref.x_hi != math.inf:
+                    x_hi = min(
+                        x_hi, math.nextafter(ref.x_hi, -math.inf)
+                    )
+                lo = max(comp.columns.bisect_x_left(x_lo), ref.lo)
+                if lo < ref.hi and comp.points[lo].x <= x_hi:
+                    level_scopes.append((-1, len(ref)))
         return build_plan(
             request,
             backend=self.name,
@@ -469,10 +445,14 @@ class ShardedServiceBackend:
             scopes=scopes,
             shards_pruned=len(service.shards) - len(visited),
             level_scopes=level_scopes,
-            update_path=update_path,
-            level_layout=level_layout,
-            update_bound=update_bound,
-            update_io=update_io,
+            level_layout=[(level, layout[level]) for level in sorted(layout)],
+            update_bound=BOUND_UPDATE_LEVELED,
+            update_io=amortized_update_io(
+                len(service),
+                self.block_size(),
+                config.level_growth,
+                config.delta_threshold,
+            ),
             topology_version=service.router.version,
         )
 

@@ -439,13 +439,13 @@ class SkylineEngine:
         """Execute one write; the report charges exactly this request's
         ledger delta.
 
-        On the legacy threshold-compact path a compaction the update
-        triggers is part of its attributed charge.  On the leveled path
-        the bounded incremental merge work piggybacked on the update is
+        The bounded incremental merge work piggybacked on the update is
         split out: it lands in :meth:`maintenance_io` (and the report's
         ``maintenance_blocks``), so the attributed charge reflects the
         update's own bounded work while the partition
-        ``attributed + maintenance == total - build`` stays exact.
+        ``attributed + maintenance == total - build`` stays exact.  A
+        major compaction the update triggers (the tombstone-reclaim
+        valve) is part of its attributed charge.
         """
         self._san_pre()
         before = self.backend.snapshot()

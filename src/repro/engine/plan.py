@@ -54,7 +54,6 @@ BOUND_FOUR_SIDED = "O((n/B)^eps + k/B)"  # Theorem 6
 #: O(log_B n) amortized per update via the logarithmic method; the leveled
 #: subsystem realises it with growth factor g and memtable capacity c).
 BOUND_UPDATE_LEVELED = "O((g/B) * log_g(n/c)) amortized per update"
-BOUND_UPDATE_THRESHOLD = "O(n/B) worst-case rebuild at the delta threshold"
 
 
 def amortized_update_io(
@@ -148,11 +147,10 @@ class QueryPlan:
     shards_pruned: int
     search_io: float
     per_result_io: float
-    # Update-path facts (sharded backend): how writes reach the static
-    # structures, the current level layout (records per level, level 0
-    # being the memtable), and the amortized update bound instantiated
-    # with the backend's actual B, n, growth and memtable capacity.
-    update_path: Optional[str] = None
+    # Update-path facts (sharded backend): the current level layout
+    # (records per level, level 0 being the memtable), and the amortized
+    # update bound instantiated with the backend's actual B, n, growth and
+    # memtable capacity.
     level_layout: Tuple[Tuple[int, int], ...] = ()
     update_bound: Optional[str] = None
     update_io: Optional[float] = None
@@ -166,6 +164,13 @@ class QueryPlan:
     def predicted_io(self, k: int) -> float:
         """The bound instantiated at output size ``k`` (block transfers)."""
         return self.search_io + k * self.per_result_io
+
+    @property
+    def update_path(self) -> Optional[str]:
+        """How writes reach the static structures: ``"leveled"`` (the
+        sharded service's per-shard LSM towers) when the plan carries an
+        update bound, else ``None``."""
+        return None if self.update_bound is None else "leveled"
 
     @property
     def formula(self) -> str:
@@ -203,7 +208,6 @@ def build_plan(
     scopes: Sequence[Tuple[Optional[int], int]],
     shards_pruned: int = 0,
     level_scopes: Sequence[Tuple[int, int]] = (),
-    update_path: Optional[str] = None,
     level_layout: Sequence[Tuple[int, int]] = (),
     update_bound: Optional[str] = None,
     update_io: Optional[float] = None,
@@ -252,7 +256,6 @@ def build_plan(
         shards_pruned=shards_pruned,
         search_io=search_io,
         per_result_io=per_result,
-        update_path=update_path,
         level_layout=tuple(level_layout),
         update_bound=update_bound,
         update_io=update_io,

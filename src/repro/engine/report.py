@@ -41,11 +41,9 @@ class ExecutionReport:
         backend's write path for updates.
     reads / writes:
         This request's *attributed* block-transfer ledger delta, split by
-        direction.  On the legacy threshold-compact path, an update that
-        trips the compaction threshold pays the whole rebuild here; on
-        the leveled path the bounded incremental merge work piggybacked
-        on an update is split out into ``maintenance_blocks`` instead --
-        either way the ledger never loses a transfer between reports.
+        direction.  The bounded incremental merge work piggybacked on an
+        update is split out into ``maintenance_blocks`` instead, so the
+        ledger never loses a transfer between reports.
     maintenance_blocks:
         Transfers of incremental merge debt this update paid alongside
         its own work (leveled update path).  Counted in the engine's

@@ -10,6 +10,10 @@ from typing import Optional
 #: :class:`~repro.serve.errors.Overloaded` failure on the returned future.
 BACKPRESSURE_POLICIES = ("block", "shed")
 
+#: Admission-control bound on the write intake queue; a full queue
+#: triggers the ``backpressure`` policy like the read queue does.
+MAX_WRITE_QUEUE = 1024
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -48,23 +52,16 @@ class ServerConfig:
         answer; fan-in is reported per response).  Off, every gathered
         submission executes individually -- the uncoalesced baseline
         ``benchmarks/bench_serving.py`` measures against.
-    max_read_queue / max_write_queue:
-        Admission-control bounds on the two intake queues.  A full queue
-        triggers the ``backpressure`` policy, so queue wait -- and
-        therefore tail latency -- is bounded by construction.
+    max_read_queue:
+        Admission-control bound on the read intake queue (the write
+        queue's is :data:`MAX_WRITE_QUEUE`).  A full queue triggers the
+        ``backpressure`` policy, so queue wait -- and therefore tail
+        latency -- is bounded by construction.
     backpressure:
         ``"block"`` or ``"shed"`` -- see :data:`BACKPRESSURE_POLICIES`.
     submit_timeout:
         Under the ``block`` policy, how long a submission may wait for
         queue space before it is shed anyway (``None`` = wait forever).
-    default_deadline:
-        Default per-request deadline in seconds from submission (``None``
-        = no deadline).  A submission still queued past its deadline is
-        failed with :class:`~repro.serve.errors.DeadlineExceeded` instead
-        of executing; a per-call ``deadline=`` overrides this default.
-    latency_samples:
-        Size of the reservoir of recent end-to-end latencies the server's
-        metrics keep for percentile reporting.
     max_subscription_queue:
         Bound on each subscription's pending-notification queue.  A
         subscriber that stops draining is *shed*: its subscription is
@@ -91,11 +88,8 @@ class ServerConfig:
     max_batch: int = 64
     coalesce: bool = True
     max_read_queue: int = 1024
-    max_write_queue: int = 1024
     backpressure: str = "block"
     submit_timeout: Optional[float] = None
-    default_deadline: Optional[float] = None
-    latency_samples: int = 8192
     max_subscription_queue: int = 256
     read_concurrency: int = 1
 
@@ -119,10 +113,6 @@ class ServerConfig:
             raise ValueError(
                 f"max_read_queue must be >= 1, got {self.max_read_queue}"
             )
-        if self.max_write_queue < 1:
-            raise ValueError(
-                f"max_write_queue must be >= 1, got {self.max_write_queue}"
-            )
         if self.backpressure not in BACKPRESSURE_POLICIES:
             raise ValueError(
                 f"backpressure must be one of {BACKPRESSURE_POLICIES}, "
@@ -131,14 +121,6 @@ class ServerConfig:
         if self.submit_timeout is not None and self.submit_timeout <= 0:
             raise ValueError(
                 f"submit_timeout must be > 0 or None, got {self.submit_timeout}"
-            )
-        if self.default_deadline is not None and self.default_deadline <= 0:
-            raise ValueError(
-                f"default_deadline must be > 0 or None, got {self.default_deadline}"
-            )
-        if self.latency_samples < 1:
-            raise ValueError(
-                f"latency_samples must be >= 1, got {self.latency_samples}"
             )
         if self.max_subscription_queue < 1:
             raise ValueError(

@@ -16,6 +16,10 @@ from typing import Deque, Dict, List, Sequence
 
 from repro.analysis.locks import tracked_lock
 
+#: Recent end-to-end latencies (and queue waits) each reservoir keeps for
+#: percentile reporting.
+LATENCY_SAMPLES = 8192
+
 
 def percentile(values: Sequence[float], q: float) -> float:
     """The ``q``-th percentile (0 <= q <= 1) by rank; 0.0 on empty input.
@@ -34,7 +38,7 @@ def percentile(values: Sequence[float], q: float) -> float:
 class ServerMetrics:
     """Thread-safe counters and latency reservoirs of one server."""
 
-    def __init__(self, latency_samples: int = 8192) -> None:
+    def __init__(self) -> None:
         self._lock = tracked_lock("serve.metrics")
         self.started_at = time.perf_counter()
         self.submitted_reads = 0
@@ -51,8 +55,8 @@ class ServerMetrics:
         self.max_read_queue_depth = 0
         self.max_write_queue_depth = 0
         self.max_inflight = 0
-        self._latencies: Deque[float] = deque(maxlen=latency_samples)
-        self._queue_waits: Deque[float] = deque(maxlen=latency_samples)
+        self._latencies: Deque[float] = deque(maxlen=LATENCY_SAMPLES)
+        self._queue_waits: Deque[float] = deque(maxlen=LATENCY_SAMPLES)
 
     # ------------------------------------------------------------------
     # Recording (dispatcher / writer / submit paths)

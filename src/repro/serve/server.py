@@ -77,7 +77,7 @@ from repro.engine.report import (
     SkylineDelta,
 )
 from repro.engine.requests import QueryRequest, SubscribeRequest, UpdateRequest
-from repro.serve.config import ServerConfig
+from repro.serve.config import MAX_WRITE_QUEUE, ServerConfig
 from repro.serve.errors import (
     DeadlineExceeded,
     Overloaded,
@@ -276,7 +276,7 @@ class SkylineServer:
     ) -> None:
         self.engine = engine
         self.config = config or ServerConfig()
-        self.metrics = ServerMetrics(self.config.latency_samples)
+        self.metrics = ServerMetrics()
         self.pool: Optional[ShardWorkerPool] = None
         service = getattr(engine.backend, "service", None)
         if service is not None:
@@ -286,7 +286,7 @@ class SkylineServer:
             self.config.max_read_queue
         )
         self._write_queue: "queue.Queue[_Submission]" = queue.Queue(
-            self.config.max_write_queue
+            MAX_WRITE_QUEUE
         )
         # Read batches run concurrently against a frozen snapshot (the
         # gate's read side); writer-lane updates and subscription pumps
@@ -404,8 +404,7 @@ class SkylineServer:
     def _deadline_at(
         self, enqueued_at: float, deadline: Optional[float]
     ) -> Optional[float]:
-        effective = deadline if deadline is not None else self.config.default_deadline
-        return None if effective is None else enqueued_at + effective
+        return None if deadline is None else enqueued_at + deadline
 
     def _admit(
         self, lane: "queue.Queue[_Submission]", submission: _Submission, write: bool
@@ -970,7 +969,7 @@ class SkylineServer:
                 "writes_applied": self._writes_applied,
                 "backpressure": self.config.backpressure,
                 "max_read_queue": self.config.max_read_queue,
-                "max_write_queue": self.config.max_write_queue,
+                "max_write_queue": MAX_WRITE_QUEUE,
                 "read_queue_depth": self._read_queue.qsize(),
                 "write_queue_depth": self._write_queue.qsize(),
                 "subscriptions": subscription_status,

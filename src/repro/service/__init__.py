@@ -54,8 +54,8 @@ service charges as ``ceil(resident / B)`` block reads on the shard's
 ledger; all other shards keep their static-structure I/O efficiency.
 Compaction restores the tombstone-free fast path.
 
-*Levels.*  On the leveled update path the same two arguments generalise
-from 2 sources (delta + base) to ``k + 1``: each level component answers
+*Levels.*  The same two arguments generalise from 2 sources (delta +
+base) to ``k + 1``: each level component answers
 locally (static structure, or the charged rescan when a tombstone it owns
 lies inside ``Q``), and one right-to-left running-max-y pass over the
 union of all local answers -- base merge, levels, frozen memtables,
@@ -89,7 +89,6 @@ from repro.service.lsm import Component, CompactionScheduler, LevelManager
 from repro.service.merge import (
     merge_component_skylines,
     merge_shard_skylines,
-    merge_with_delta,
 )
 from repro.service.router import (
     ShardRouter,
@@ -120,7 +119,6 @@ __all__ = [
     "size_balanced_midpoint",
     "merge_shard_skylines",
     "merge_component_skylines",
-    "merge_with_delta",
     "build_worklists",
     "execute_worklists",
     "make_key",

@@ -28,24 +28,10 @@ class ServiceConfig:
     epsilon:
         The query/update trade-off knob forwarded to every shard's
         :class:`repro.RangeSkylineIndex`.
-    update_path:
-        How writes reach the static structures.  ``"leveled"`` (the
-        default) runs the Bentley--Saxe-style leveled subsystem of
-        :mod:`repro.service.lsm`: the memtable seals into an immutable
-        component when it fills, a :class:`~repro.service.lsm
-        .CompactionScheduler` merges levels of geometrically increasing
-        capacity in bounded incremental steps piggybacked on updates, and
-        no single update ever pays an ``O(n/B)`` rebuild.
-        ``"threshold-compact"`` is the legacy single-threshold path kept
-        for benchmarking the difference: the flat delta triggers a
-        stop-the-world :meth:`SkylineService.compact` when it fills.
     delta_threshold:
-        Capacity of the level-0 memtable.  On the leveled path, once this
-        many *pending inserts* accumulate the memtable is sealed and
-        scheduled for an incremental merge into level 1.  On the legacy
-        path, once the flat delta (pending inserts plus tombstones)
-        reaches this many entries the next write triggers
-        :meth:`SkylineService.compact` (when ``auto_compact`` is on).
+        Capacity of the level-0 memtable: once this many *pending
+        inserts* accumulate the memtable is sealed and scheduled for an
+        incremental merge into level 1 (when ``auto_compact`` is on).
     level_growth:
         Geometric fan-out of the leveled update path: level ``j`` holds up
         to ``delta_threshold * level_growth**j`` records before it is
@@ -55,9 +41,8 @@ class ServiceConfig:
         update: at most this many block transfers of pending merge debt
         are paid (charged to the service's maintenance ledger) per
         insert/delete.  The worst-case single-update I/O is therefore
-        ``O(merge_step_blocks)`` instead of the legacy path's ``O(n/B)``
-        rebuild; :meth:`SkylineService.drain` pays all outstanding debt
-        at once.
+        ``O(merge_step_blocks)``, never an ``O(n/B)`` rebuild;
+        :meth:`SkylineService.drain` pays all outstanding debt at once.
     adaptive_topology:
         Whether the service's :class:`~repro.service.topology
         .TopologyManager` manages the shard layout *online*: every
@@ -104,8 +89,10 @@ class ServiceConfig:
         machine charges a private ledger, so fan-out never races a counter
         and parallel batches report bit-identical totals to serial runs.
     auto_compact:
-        Whether writes trigger compaction as soon as the delta exceeds
-        ``delta_threshold``.  Turn off to drive :meth:`compact` from an
+        Whether writes seal the memtable once it holds
+        ``delta_threshold`` pending inserts, and pay a major compaction
+        once ``delta_threshold * level_growth`` tombstones accumulate.
+        Turn off to drive :meth:`drain` and :meth:`compact` from an
         external scheduler, as a real service would.
     durability:
         Whether the service writes every update to a write-ahead log and
@@ -142,7 +129,6 @@ class ServiceConfig:
     block_size: int = 64
     memory_blocks: int = 32
     epsilon: float = 0.5
-    update_path: str = "leveled"
     delta_threshold: int = 128
     level_growth: int = 4
     merge_step_blocks: int = 8
@@ -162,11 +148,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.shard_count < 1:
             raise ValueError(f"shard_count must be >= 1, got {self.shard_count}")
-        if self.update_path not in ("leveled", "threshold-compact"):
-            raise ValueError(
-                "update_path must be 'leveled' or 'threshold-compact', "
-                f"got {self.update_path!r}"
-            )
         if self.delta_threshold < 1:
             raise ValueError(
                 f"delta_threshold must be >= 1, got {self.delta_threshold}"

@@ -3,10 +3,9 @@
 Writes never touch the static shard structures directly.  Following the
 logarithmic method (Bentley--Saxe), inserts accumulate in a small in-memory
 buffer that every query folds into its answer, and deletes of static points
-are recorded as tombstones.  When the delta grows past the service's
-threshold a compaction rebuilds the static shards from the live point set
-and empties the buffer, so the memory the delta occupies stays bounded by
-the threshold.
+are recorded as tombstones.  When the pending inserts reach the service's
+threshold they are sealed into immutable level components, so the memory
+the inserts occupy stays bounded by the threshold.
 
 Skyline queries are *not* decomposable under deletion (removing a maximal
 point can expose points it used to dominate), so tombstones cannot simply
@@ -27,9 +26,10 @@ and :meth:`DeltaBuffer.clear` at compaction -- and owner keys stay valid
 for the bucket's whole lifetime because compaction clears the buffer
 whenever shard boundaries or the level layout move wholesale.
 
-On the leveled update path the buffer doubles as the level-0 *memtable*:
-:meth:`DeltaBuffer.seal_inserts` drains the pending inserts into an
-immutable component while tombstones stay behind (they are consumed by the
+The buffer is the level-0 *memtable* of :mod:`repro.service.lsm`: a seal
+drains each shard's cut of the pending inserts
+(:meth:`DeltaBuffer.take_inserts_in_range`) into an immutable component
+on that shard's tower while tombstones stay behind (they are consumed by the
 merges that rewrite their victims' components, never flushed).
 """
 

@@ -1,7 +1,7 @@
 """repro.service.lsm -- the leveled log-structured update subsystem.
 
-This package replaces the flat single-threshold delta + stop-the-world
-``compact()`` write path with a Bentley--Saxe-style leveled design:
+This package is the service's write path, a Bentley--Saxe-style leveled
+design:
 
 * **Level 0** is the in-memory memtable (the service's
   :class:`~repro.service.delta.DeltaBuffer`): pending inserts plus
@@ -15,8 +15,8 @@ This package replaces the flat single-threshold delta + stop-the-world
   ``ServiceConfig.merge_step_blocks`` block transfers piggybacked per
   update, with :meth:`~repro.service.SkylineService.drain` as the
   explicit full-drain entry point -- so the worst-case single-update I/O
-  drops from the legacy path's ``O(n/B)`` rebuild to ``O(1)`` transfers,
-  while the amortised cost stays the logarithmic-method
+  is ``O(1)`` transfers, never an ``O(n/B)`` rebuild, while the amortised
+  cost stays the logarithmic-method
   ``O((g/B) * log_g(n/c))`` per update.
 
 Queries fan across the memtable, the frozen memtables, every level and

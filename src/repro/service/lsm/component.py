@@ -8,7 +8,7 @@ as :class:`~repro.service.shard.Shard`, so queries against a level charge
 exactly one ledger and concurrent batch workers never race a counter.
 Frozen memtables (a sealed level 0 awaiting its flush merge) carry no
 index and no machine: they are still in memory, so scanning them is free,
-exactly like the flat delta the leveled path replaces.
+exactly like the memtable.
 
 Construction of an indexed component eagerly charges the build to the
 component's *private* ledger.  The ledger only joins the service-wide

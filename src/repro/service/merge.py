@@ -1,4 +1,4 @@
-"""Cross-shard and delta skyline merging.
+"""Cross-shard and cross-component skyline merging.
 
 Correctness of the shard merge (top-open semantics generalise to every
 variant): shards partition the x-axis, so for a candidate ``p`` from shard
@@ -27,7 +27,7 @@ happen on either path, so charging is untouched (see DESIGN.md,
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from repro.core.columns import (
     ColumnsLike,
@@ -114,51 +114,3 @@ def merge_component_skylines_objects(
             best_y = point.y
     kept.reverse()
     return kept
-
-
-def merge_with_delta(
-    static_result: Sequence[Point], delta_candidates: Iterable[Point]
-) -> List[Point]:
-    """Fold pending (in-memory) inserts into a merged static skyline.
-
-    ``static_result`` is the skyline of the static points inside the query;
-    ``delta_candidates`` are the pending inserts inside the query.  The
-    skyline of the union of the two small sets equals the skyline of the
-    full point set inside the query: any static point missing from
-    ``static_result`` is dominated by a member of it, and that member is in
-    the union.
-
-    ``static_result`` arrives sorted by increasing x (and, being a
-    skyline, by decreasing y), so only the delta candidates are sorted;
-    the two decreasing-x streams are then folded with the same
-    running-max-y sweep the component merge uses -- no re-sort of the
-    already-sorted static result, no full :func:`~repro.core.skyline
-    .skyline` recomputation.
-    """
-    candidates = sorted(delta_candidates, key=lambda p: (-p.x, -p.y))
-    if not candidates:
-        return list(static_result)
-    kept_rev: List[Point] = []
-    best_y = float("-inf")
-    ci, cn = 0, len(candidates)
-    for sp in reversed(static_result):
-        # Drain delta candidates with larger x (ties: larger y) first so
-        # the combined stream is visited in decreasing-x order.
-        while ci < cn and (
-            candidates[ci].x > sp.x
-            or (candidates[ci].x == sp.x and candidates[ci].y > sp.y)
-        ):
-            if candidates[ci].y > best_y:
-                kept_rev.append(candidates[ci])
-                best_y = candidates[ci].y
-            ci += 1
-        if sp.y > best_y:
-            kept_rev.append(sp)
-            best_y = sp.y
-    while ci < cn:
-        if candidates[ci].y > best_y:
-            kept_rev.append(candidates[ci])
-            best_y = candidates[ci].y
-        ci += 1
-    kept_rev.reverse()
-    return kept_rev

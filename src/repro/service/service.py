@@ -12,8 +12,8 @@ interchangeable in benchmarks and applications.
 
 Update path
 -----------
-Writes never touch the static shard structures directly.  On the default
-``"leveled"`` path (:mod:`repro.service.lsm`), inserts land in the
+Writes never touch the static shard structures directly.  They take the
+leveled path (:mod:`repro.service.lsm`): inserts land in the
 shared level-0 memtable (the :class:`~repro.service.delta.DeltaBuffer`,
 range-cut by shard) and deletes of resident points become
 component-bucketed tombstones.  *Every shard owns a private level
@@ -33,9 +33,7 @@ the generalised right-to-left running-max-y merge
 (per shard, or across every tower -- in parallel when a maintenance-
 capable batch executor is installed), and :meth:`SkylineService.compact`
 remains the explicit *major* compaction that folds everything back into
-rebuilt, size-rebalanced base shards.  The legacy
-``"threshold-compact"`` path (flat delta, stop-the-world compaction at a
-size threshold) is kept for benchmarking the difference.
+rebuilt, size-rebalanced base shards.
 
 Topology
 --------
@@ -136,7 +134,6 @@ from repro.service.lsm import Component, LevelManager
 from repro.service.merge import (
     merge_component_skylines,
     merge_shard_skylines,
-    merge_with_delta,
 )
 from repro.service.router import (
     ShardRouter,
@@ -376,17 +373,10 @@ class SkylineService:
                     elif record.op == OP_FOLD:
                         assert record.ident is not None
                         service.fold_shard(record.ident)
-                    elif record.op in (OP_FLUSH, OP_DRAIN):
-                        if not service.leveled:
-                            raise ValueError(
-                                "the WAL holds leveled-path records "
-                                f"({record.op!r}); open the store with "
-                                "update_path='leveled'"
-                            )
-                        if record.op == OP_FLUSH:
-                            service._seal_memtable(record.ident)
-                        else:
-                            service.drain(record.ident)
+                    elif record.op == OP_FLUSH:
+                        service._seal_memtable(record.ident)
+                    elif record.op == OP_DRAIN:
+                        service.drain(record.ident)
                     else:  # pragma: no cover - corrupt record
                         raise ValueError(f"unknown WAL op {record.op!r}")
             finally:
@@ -445,11 +435,6 @@ class SkylineService:
             and not state.tombstones
         ):
             return
-        if not self.leveled:
-            raise ValueError(
-                "the snapshot holds a leveled layout; open it with "
-                "update_path='leveled'"
-            )
         comp_owner: Dict[Tuple[int, int], Tuple[str, int]] = {}
         for (sid, level), points in state.levels:
             tower = self.shards[sid].tower
@@ -499,13 +484,8 @@ class SkylineService:
     # ------------------------------------------------------------------
     # Construction / compaction
     # ------------------------------------------------------------------
-    @property
-    def leveled(self) -> bool:
-        """Whether the leveled (per-shard tower) update path is active."""
-        return self.config.update_path == "leveled"
-
     def towers(self) -> List[LevelManager]:
-        """The live shards' towers, in shard order (empty on legacy)."""
+        """The live shards' towers, in shard order."""
         return [
             shard.tower for shard in self.shards if shard.tower is not None
         ]
@@ -603,10 +583,10 @@ class SkylineService:
         build stays on the shard's own ledger (construction/compaction
         generations, the logarithmic-method accounting).
 
-        On the leveled path the shard also gets its private level tower,
-        scoped to its x-range, with its own maintenance/retired ledger
-        pair (so per-shard maintenance can run on parallel workers
-        without racing a counter).
+        The shard also gets its private level tower, scoped to its
+        x-range, with its own maintenance/retired ledger pair (so
+        per-shard maintenance can run on parallel workers without racing
+        a counter).
         """
         self._next_uid += 1
         shard = Shard(
@@ -623,22 +603,21 @@ class SkylineService:
             self._maintenance.record_read(shard.stats.reads)
             self._maintenance.record_write(shard.stats.writes)
             shard.stats.reset()
-        if self.leveled:
-            shard.tower = LevelManager(
-                em_config=self.config.shard_em_config(),
-                epsilon=self.config.epsilon,
-                block_size=self.config.block_size,
-                memtable_capacity=self.config.delta_threshold,
-                level_growth=self.config.level_growth,
-                merge_step_blocks=self.config.merge_step_blocks,
-                delta=self.delta,
-                maintenance=IOStats(),
-                retired=IOStats(),
-                on_layout_change=self._refresh_members,
-                next_comp_id=self._next_comp_id,
-                x_lo=x_lo,
-                x_hi=x_hi,
-            )
+        shard.tower = LevelManager(
+            em_config=self.config.shard_em_config(),
+            epsilon=self.config.epsilon,
+            block_size=self.config.block_size,
+            memtable_capacity=self.config.delta_threshold,
+            level_growth=self.config.level_growth,
+            merge_step_blocks=self.config.merge_step_blocks,
+            delta=self.delta,
+            maintenance=IOStats(),
+            retired=IOStats(),
+            on_layout_change=self._refresh_members,
+            next_comp_id=self._next_comp_id,
+            x_lo=x_lo,
+            x_hi=x_hi,
+        )
         return shard
 
     def _dispose_tower(self, shard: Shard) -> None:
@@ -725,14 +704,14 @@ class SkylineService:
         memtables, every level, minus tombstones -- into rebuilt,
         size-rebalanced base shards.
 
-        On the leveled path this is the explicit operator-driven fold (and
-        the one place tombstones against base-resident points are
-        reclaimed); the incremental scheduler handles routine maintenance,
-        so no *update* ever triggers this ``O(n/B)`` rebuild.  On the
-        legacy path it is the threshold-triggered stop-the-world
-        compaction of old.  Rebuild I/Os are charged to the new
-        generation's ledgers -- the amortised cost the logarithmic method
-        pays for keeping queries on static-structure speeds.
+        This is the explicit operator-driven fold, and the one place
+        tombstones against base-resident points are reclaimed; the
+        incremental scheduler handles routine maintenance, so the only
+        update that triggers this ``O(n/B)`` rebuild is the one tripping
+        the tombstone-reclaim valve (:meth:`_maybe_reclaim_tombstones`).
+        Rebuild I/Os are charged to the new generation's ledgers -- the
+        amortised cost the logarithmic method pays for keeping queries on
+        static-structure speeds.
 
         On a durable service the compaction first logs a checkpoint record
         (forcing the whole WAL tail durable) and, every
@@ -759,9 +738,9 @@ class SkylineService:
     def drain(self, sid: Optional[int] = None) -> Dict[str, int]:
         """Pay every outstanding transfer of incremental merge debt now.
 
-        The explicit full-drain entry point of the leveled path:
-        completes every tower's active merge and every queued one
-        (flushing nothing new -- the memtable keeps absorbing writes),
+        The explicit full-drain entry point: completes every tower's
+        active merge and every queued one (flushing nothing new -- the
+        memtable keeps absorbing writes),
         charging the remaining debt to the towers' maintenance ledgers in
         one call.  With ``sid`` only that shard's private tower is
         drained -- its neighbours' debt is untouched, the per-shard
@@ -771,7 +750,7 @@ class SkylineService:
         blocks plus overlays, memtable and tombstone table) the next
         :meth:`open` restores exactly; a per-shard drain is WAL-logged
         too (replay must reproduce the exact tower states) but is not a
-        snapshot anchor.  A no-op on the legacy path.
+        snapshot anchor.
 
         When the installed batch executor can run per-shard maintenance
         (the serving tier's :class:`~repro.serve.workers.ShardWorkerPool`),
@@ -779,8 +758,6 @@ class SkylineService:
         worker in parallel -- every charge lands on tower-private
         ledgers, so the totals are bit-identical to a serial drain.
         """
-        if not self.leveled:
-            return {"merge_io": 0, "merges_completed": 0}
         if sid is not None and not 0 <= sid < len(self.shards):
             raise ValueError(f"no shard {sid}: {len(self.shards)} shards")
         checkpoint = None
@@ -880,8 +857,8 @@ class SkylineService:
     def split_shard(
         self, sid: int, cut: Optional[float] = None
     ) -> Optional[float]:
-        """Split the hot shard ``sid`` in two at ``cut`` -- on the
-        per-shard-tower path an O(1) *metadata move*, never a rebuild.
+        """Split the hot shard ``sid`` in two at ``cut`` -- an O(1)
+        *metadata move*, never a rebuild.
 
         The default cut is the size-balanced midpoint of every live
         record in the shard's x-range.  The retiring shard's base index
@@ -902,9 +879,6 @@ class SkylineService:
         than two live records in the range).  Shards to the right shift
         one position; their uids -- and therefore their cached answers
         and tombstone buckets -- are untouched.
-
-        On the legacy path (no towers) the children are rebuilt from the
-        shard's live residents plus the memtable slice, as before.
         """
         if not 0 <= sid < len(self.shards):
             raise ValueError(f"no shard {sid}: {len(self.shards)} shards")
@@ -921,57 +895,23 @@ class SkylineService:
         if self.wal is not None and not self._replaying:
             self.wal.log_split(sid, cut)
         charged_before = self.maintenance.total
-        if self.leveled:
-            tower = shard.tower
-            assert tower is not None
-            # Records whose *ownership* moves (for reporting); no block
-            # of any of them is transferred.
-            touched = len(shard.points) + tower.resident()
-            entries: List[Tuple[Component, float, float]] = []
-            base = self._adopt_base_component(shard)
-            if base is not None:
-                entries.append((base, x_lo, x_hi))
-            entries.extend(self._release_tower_components(shard))
-            self.router.split_cut(sid, cut)
-            children = [
-                self._new_shard(sid, x_lo, cut, [], charge_maintenance=True),
-                self._new_shard(
-                    sid + 1, cut, x_hi, [], charge_maintenance=True
-                ),
-            ]
-            self.shards[sid : sid + 1] = children
-            self._assign_components(entries, children)
-        else:
-            touched = len(shard.points)
-            memtable_slice = self.delta.take_inserts_in_range(x_lo, x_hi)
-            touched += len(memtable_slice)
-            # The old shard's residents, minus its own tombstones
-            # (consumed: the children are built from live points, a
-            # local reclamation).
-            owned = self.delta.owned_tombstones(shard.owner)
-            union = [
-                p
-                for p in shard.points
-                if point_key(p) not in owned and not self.delta.is_deleted(p)
-            ]
-            union.extend(memtable_slice)
-            for key in owned:
-                if key in self.delta.tombstones:
-                    self.delta.drop_tombstone(key)
-            if shard.points:
-                self._maintenance.record_read(
-                    math.ceil(len(shard.points) / self.config.block_size)
-                )
-            self._retired.absorb(shard.stats)
-            self.router.split_cut(sid, cut)
-            left = [p for p in union if p.x < cut]
-            right = [p for p in union if p.x >= cut]
-            self.shards[sid : sid + 1] = [
-                self._new_shard(sid, x_lo, cut, left, charge_maintenance=True),
-                self._new_shard(
-                    sid + 1, cut, x_hi, right, charge_maintenance=True
-                ),
-            ]
+        tower = shard.tower
+        assert tower is not None
+        # Records whose *ownership* moves (for reporting); no block of any
+        # of them is transferred.
+        touched = len(shard.points) + tower.resident()
+        entries: List[Tuple[Component, float, float]] = []
+        base = self._adopt_base_component(shard)
+        if base is not None:
+            entries.append((base, x_lo, x_hi))
+        entries.extend(self._release_tower_components(shard))
+        self.router.split_cut(sid, cut)
+        children = [
+            self._new_shard(sid, x_lo, cut, [], charge_maintenance=True),
+            self._new_shard(sid + 1, cut, x_hi, [], charge_maintenance=True),
+        ]
+        self.shards[sid : sid + 1] = children
+        self._assign_components(entries, children)
         for position in range(sid + 2, len(self.shards)):
             self.shards[position].sid = position
         self._refresh_members()
@@ -984,16 +924,14 @@ class SkylineService:
     def merge_shards(self, sid: int) -> float:
         """Merge the adjacent cold shards ``sid`` and ``sid + 1`` into one.
 
-        On the per-shard-tower path this is the same O(1) metadata move
-        as a split, run in reverse: both retiring bases are adopted as
-        zero-I/O components, both towers' component sets are handed to
-        the single child (a component both parents shared -- both halves
-        of an earlier split -- is handed over once), and the memtable
-        needs no work.  On the legacy path the merged shard is rebuilt
-        from both inputs' live residents, charged to the maintenance
-        ledger.  On a durable service an ``OP_MERGE`` record replays the
-        change at the same boundary.  Returns the removed cut.  Shards
-        to the right shift one position left with uids untouched.
+        The same O(1) metadata move as a split, run in reverse: both
+        retiring bases are adopted as zero-I/O components, both towers'
+        component sets are handed to the single child (a component both
+        parents shared -- both halves of an earlier split -- is handed
+        over once), and the memtable needs no work.  On a durable service
+        an ``OP_MERGE`` record replays the change at the same boundary.
+        Returns the removed cut.  Shards to the right shift one position
+        left with uids untouched.
         """
         if not 0 <= sid < len(self.shards) - 1:
             raise ValueError(
@@ -1005,47 +943,22 @@ class SkylineService:
         pair = self.shards[sid : sid + 2]
         x_lo, _ = self.router.shard_range(sid)
         _, x_hi = self.router.shard_range(sid + 1)
-        if self.leveled:
-            touched = sum(
-                len(s.points)
-                + (0 if s.tower is None else s.tower.resident())
-                for s in pair
-            )
-            entries: List[Tuple[Component, float, float]] = []
-            for shard in pair:
-                base = self._adopt_base_component(shard)
-                if base is not None:
-                    entries.append((base, shard.x_lo, shard.x_hi))
-                entries.extend(self._release_tower_components(shard))
-            cut = self.router.merge_cut(sid)
-            children = [
-                self._new_shard(sid, x_lo, x_hi, [], charge_maintenance=True)
-            ]
-            self.shards[sid : sid + 2] = children
-            self._assign_components(entries, children)
-        else:
-            touched = sum(len(s.points) for s in pair)
-            union: List[Point] = []
-            for shard in pair:
-                owned = self.delta.owned_tombstones(shard.owner)
-                union.extend(
-                    p
-                    for p in shard.points
-                    if point_key(p) not in owned
-                    and not self.delta.is_deleted(p)
-                )
-                for key in owned:
-                    if key in self.delta.tombstones:
-                        self.delta.drop_tombstone(key)
-                if shard.points:
-                    self._maintenance.record_read(
-                        math.ceil(len(shard.points) / self.config.block_size)
-                    )
-                self._retired.absorb(shard.stats)
-            cut = self.router.merge_cut(sid)
-            self.shards[sid : sid + 2] = [
-                self._new_shard(sid, x_lo, x_hi, union, charge_maintenance=True)
-            ]
+        touched = sum(
+            len(s.points) + (0 if s.tower is None else s.tower.resident())
+            for s in pair
+        )
+        entries: List[Tuple[Component, float, float]] = []
+        for shard in pair:
+            base = self._adopt_base_component(shard)
+            if base is not None:
+                entries.append((base, shard.x_lo, shard.x_hi))
+            entries.extend(self._release_tower_components(shard))
+        cut = self.router.merge_cut(sid)
+        children = [
+            self._new_shard(sid, x_lo, x_hi, [], charge_maintenance=True)
+        ]
+        self.shards[sid : sid + 2] = children
+        self._assign_components(entries, children)
         for position in range(sid + 1, len(self.shards)):
             self.shards[position].sid = position
         self._refresh_members()
@@ -1184,68 +1097,66 @@ class SkylineService:
         level_counts: Tuple[Tuple[Tuple[int, int], int], ...] = ()
         overlay_blocks: Tuple[Tuple[int, Tuple], ...] = ()
         overlay_counts: Tuple[Tuple[int, int], ...] = ()
-        memtable_points: List[Point] = []
         tombstone_records: List[TombstoneRecord] = []
-        if self.leveled:
-            # Owner key of a private level component -> its (sid, level).
-            owner_slot: Dict[object, Tuple[int, int]] = {}
-            for shard in self.shards:
-                tower = shard.tower
-                assert tower is not None
-                # Snapshots are only taken at quiescent checkpoints: no
-                # frozen memtable awaits a flush and no merge is in
-                # flight in any tower, so each layout is exactly the
-                # visible levels plus the inherited overlay.
-                assert not tower.frozen and tower.scheduler.active is None
-                for j in sorted(tower.levels):
-                    comp = tower.levels[j]
-                    level_blocks += (
-                        (
-                            (shard.sid, j),
-                            write_record_blocks(self.store, comp.points),
-                        ),
-                    )
-                    level_counts += (((shard.sid, j), len(comp.points)),)
-                    owner_slot[comp.owner] = (shard.sid, j)
-                overlay_points: List[Point] = []
-                for ref in tower.inherited:
-                    overlay_points.extend(ref.points())
-                overlay_points.sort(key=lambda p: (p.x, p.y))
-                if overlay_points:
-                    overlay_blocks += (
-                        (
-                            shard.sid,
-                            write_record_blocks(self.store, overlay_points),
-                        ),
-                    )
-                    overlay_counts += ((shard.sid, len(overlay_points)),)
-            memtable_points = sorted(
-                self.delta.inserts.values(), key=lambda p: (p.x, p.y)
-            )
-            for key, victim in self.delta.tombstones.items():
-                owner = self.delta.tombstone_owner(key)
-                if owner in owner_slot:
-                    slot_sid, slot_level = owner_slot[owner]
-                    record = TombstoneRecord(
-                        victim.x,
-                        victim.y,
-                        victim.ident,
-                        level=slot_level,
-                        sid=slot_sid,
-                    )
-                elif isinstance(owner, tuple) and owner[0] == "c":
-                    # An inherited component owns the victim: it lands in
-                    # the overlay of the shard whose range holds it.
-                    record = TombstoneRecord(
-                        victim.x,
-                        victim.y,
-                        victim.ident,
-                        level=-1,
-                        sid=self.router.route_point(victim.x),
-                    )
-                else:
-                    record = TombstoneRecord(victim.x, victim.y, victim.ident)
-                tombstone_records.append(record)
+        # Owner key of a private level component -> its (sid, level).
+        owner_slot: Dict[object, Tuple[int, int]] = {}
+        for shard in self.shards:
+            tower = shard.tower
+            assert tower is not None
+            # Snapshots are only taken at quiescent checkpoints: no
+            # frozen memtable awaits a flush and no merge is in
+            # flight in any tower, so each layout is exactly the
+            # visible levels plus the inherited overlay.
+            assert not tower.frozen and tower.scheduler.active is None
+            for j in sorted(tower.levels):
+                comp = tower.levels[j]
+                level_blocks += (
+                    (
+                        (shard.sid, j),
+                        write_record_blocks(self.store, comp.points),
+                    ),
+                )
+                level_counts += (((shard.sid, j), len(comp.points)),)
+                owner_slot[comp.owner] = (shard.sid, j)
+            overlay_points: List[Point] = []
+            for ref in tower.inherited:
+                overlay_points.extend(ref.points())
+            overlay_points.sort(key=lambda p: (p.x, p.y))
+            if overlay_points:
+                overlay_blocks += (
+                    (
+                        shard.sid,
+                        write_record_blocks(self.store, overlay_points),
+                    ),
+                )
+                overlay_counts += ((shard.sid, len(overlay_points)),)
+        memtable_points = sorted(
+            self.delta.inserts.values(), key=lambda p: (p.x, p.y)
+        )
+        for key, victim in self.delta.tombstones.items():
+            owner = self.delta.tombstone_owner(key)
+            if owner in owner_slot:
+                slot_sid, slot_level = owner_slot[owner]
+                record = TombstoneRecord(
+                    victim.x,
+                    victim.y,
+                    victim.ident,
+                    level=slot_level,
+                    sid=slot_sid,
+                )
+            elif isinstance(owner, tuple) and owner[0] == "c":
+                # An inherited component owns the victim: it lands in
+                # the overlay of the shard whose range holds it.
+                record = TombstoneRecord(
+                    victim.x,
+                    victim.y,
+                    victim.ident,
+                    level=-1,
+                    sid=self.router.route_point(victim.x),
+                )
+            else:
+                record = TombstoneRecord(victim.x, victim.y, victim.ident)
+            tombstone_records.append(record)
         memtable_blocks = write_record_blocks(self.store, memtable_points)
         tombstone_blocks = write_record_blocks(self.store, tombstone_records)
         self.store.install_manifest(
@@ -1267,23 +1178,6 @@ class SkylineService:
             )
         )
 
-    def delta_exceeds_threshold(self) -> bool:
-        """Whether a background scheduler should trigger :meth:`compact`
-        (legacy path) or a memtable seal is due (leveled path -- the
-        memtable is one shared in-memory budget, so the bar is the total
-        pending insert count, exactly as on the legacy path)."""
-        if self.leveled:
-            return len(self.delta.inserts) >= self.config.delta_threshold
-        return len(self.delta) >= self.config.delta_threshold
-
-    def _maybe_compact(self) -> None:
-        # During replay, compactions happen exactly where the WAL recorded
-        # them, never where the threshold would re-trigger one.
-        if self._replaying:
-            return
-        if self.config.auto_compact and self.delta_exceeds_threshold():
-            self.compact()
-
     def _tick(self, x: float) -> None:
         """Pay one update's bounded merge step on the tower owning ``x``.
 
@@ -1294,7 +1188,7 @@ class SkylineService:
         shard.tower.tick()
 
     def _maybe_seal(self) -> None:
-        """Seal the memtable when its shared budget fills (leveled path).
+        """Seal the memtable when its shared budget fills.
 
         The threshold is the *total* pending insert count -- the memtable
         is one in-memory budget cut by shard range, not a per-shard one
@@ -1302,9 +1196,7 @@ class SkylineService:
         tower.  Logged as one all-shards flush record; replay seals the
         same cuts at the same boundary (shard-scoped flush records,
         ``ident=sid``, replay a single shard's cut)."""
-        if self._replaying or not self.leveled:
-            return
-        if not self.config.auto_compact:
+        if self._replaying or not self.config.auto_compact:
             return
         if len(self.delta.inserts) >= self.config.delta_threshold:
             if self.wal is not None:
@@ -1312,7 +1204,7 @@ class SkylineService:
             self._seal_memtable()
 
     def _maybe_reclaim_tombstones(self) -> None:
-        """Safety valve for delete-heavy workloads (leveled path).
+        """Safety valve for delete-heavy workloads.
 
         Merges only consume tombstones owned by the components they
         rewrite, and base-resident tombstones die only at a major
@@ -1325,7 +1217,7 @@ class SkylineService:
         many deletes the cost is the same logarithmic-method budget, and
         the routine insert path still never triggers a rebuild.
         """
-        if self._replaying or not self.leveled or not self.config.auto_compact:
+        if self._replaying or not self.config.auto_compact:
             return
         if (
             len(self.delta.tombstones)
@@ -1339,7 +1231,6 @@ class SkylineService:
         incremental flush into level 1.  ``None`` seals every shard's cut
         (full drains, and replay of pre-per-shard WAL flush records that
         carry no shard id)."""
-        assert self.leveled
         targets = list(self.shards) if sid is None else [self.shards[sid]]
         for shard in targets:
             tower = shard.tower
@@ -1439,49 +1330,44 @@ class SkylineService:
                     [local[(position, sid)][0] for sid in shard_ids]
                 )
                 fallback = any(local[(position, sid)][1] for sid in shard_ids)
-                if self.leveled:
-                    sources: List[Sequence[Point]] = [merged]
-                    # Component queries charge the components' private
-                    # ledgers; concurrent batches reach here from several
-                    # threads, so the charges serialize on the overlay
-                    # lock (each acquisition is a declared sync point).
-                    # The fan covers exactly the visited shards' towers:
-                    # private components whole, inherited ones through
-                    # their refs' adoption intervals (disjoint across
-                    # live refs, so a component shared by two visited
-                    # towers contributes each point at most once, and a
-                    # region an earlier fold moved into a base is never
-                    # re-read from the shared component).
-                    with self._overlay:
-                        for sid in shard_ids:
-                            shard = self.shards[sid]
-                            tower = shard.tower
-                            assert tower is not None
-                            for comp in tower.private_components():
-                                comp_result, comp_fallback = (
-                                    self._component_query(comp, query)
+                sources: List[Sequence[Point]] = [merged]
+                # Component queries charge the components' private
+                # ledgers; concurrent batches reach here from several
+                # threads, so the charges serialize on the overlay
+                # lock (each acquisition is a declared sync point).
+                # The fan covers exactly the visited shards' towers:
+                # private components whole, inherited ones through
+                # their refs' adoption intervals (disjoint across
+                # live refs, so a component shared by two visited
+                # towers contributes each point at most once, and a
+                # region an earlier fold moved into a base is never
+                # re-read from the shared component).
+                with self._overlay:
+                    for sid in shard_ids:
+                        shard = self.shards[sid]
+                        tower = shard.tower
+                        assert tower is not None
+                        for comp in tower.private_components():
+                            comp_result, comp_fallback = (
+                                self._component_query(comp, query)
+                            )
+                            sources.append(comp_result)
+                            fallback = fallback or comp_fallback
+                        for ref in tower.inherited:
+                            comp_result, comp_fallback = (
+                                self._component_query(
+                                    ref.comp,
+                                    query,
+                                    clip_lo=ref.x_lo,
+                                    clip_hi=ref.x_hi,
                                 )
-                                sources.append(comp_result)
-                                fallback = fallback or comp_fallback
-                            for ref in tower.inherited:
-                                comp_result, comp_fallback = (
-                                    self._component_query(
-                                        ref.comp,
-                                        query,
-                                        clip_lo=ref.x_lo,
-                                        clip_hi=ref.x_hi,
-                                    )
-                                )
-                                sources.append(comp_result)
-                                fallback = fallback or comp_fallback
-                        # Unsorted is fine: merge_component_skylines
-                        # orders the whole union itself.
-                        sources.append(self.delta.candidates_in(query))
-                    merged = merge_component_skylines(sources)
-                else:
-                    merged = merge_with_delta(
-                        merged, self.delta.candidates_in(query)
-                    )
+                            )
+                            sources.append(comp_result)
+                            fallback = fallback or comp_fallback
+                    # Unsorted is fine: merge_component_skylines
+                    # orders the whole union itself.
+                    sources.append(self.delta.candidates_in(query))
+                merged = merge_component_skylines(sources)
                 if use_cache:
                     with self._overlay:
                         self.cache.put(key, merged)
@@ -1621,10 +1507,10 @@ class SkylineService:
         is enforced here, at the write boundary: a coordinate colliding
         with a live point raises immediately instead of corrupting a later
         merge or rebuild.  On a durable service the accepted insert is
-        appended to the WAL before it is applied.  On the leveled path the
-        insert also pays at most ``merge_step_blocks`` transfers of
-        piggybacked merge debt and, when the memtable fills, seals it --
-        bounded work, never an ``O(n/B)`` rebuild.
+        appended to the WAL before it is applied.  The insert also pays
+        at most ``merge_step_blocks`` transfers of piggybacked merge debt
+        and, when the memtable fills, seals it -- bounded work, never an
+        ``O(n/B)`` rebuild.
         """
         if point.x in self._live_xs or point.y in self._live_ys:
             raise ValueError(
@@ -1637,11 +1523,8 @@ class SkylineService:
         self._live_ys.add(point.y)
         self.delta.insert(point)
         self._bump_region(point.x)
-        if self.leveled:
-            self._tick(point.x)
-            self._maybe_seal()
-        else:
-            self._maybe_compact()
+        self._tick(point.x)
+        self._maybe_seal()
         self._maybe_rebalance()
 
     def delete(self, point: Point) -> bool:
@@ -1663,41 +1546,39 @@ class SkylineService:
             self._live_xs.discard(removed.x)
             self._live_ys.discard(removed.y)
             self._bump_region(removed.x)
-            if self.leveled:
-                self._tick(removed.x)
+            self._tick(removed.x)
             self._maybe_rebalance()
             return True
         victim = None
         owner: object = None
-        if self.leveled:
-            # Only the tower owning the coordinate can hold the victim:
-            # private components are range-scoped by construction and an
-            # inherited component's points outside the ref's interval
-            # belong to some sibling's ref -- or to no ref at all (a
-            # fold already moved them into a base), in which case the
-            # masked copy must never be chosen as a victim.
-            tower = self.shards[self.router.route_point(point.x)].tower
-            assert tower is not None
-            windows = [
-                (comp, 0, len(comp.points))
-                for comp in tower.private_components()
-            ] + [(ref.comp, ref.lo, ref.hi) for ref in tower.inherited]
-            for comp, w_lo, w_hi in windows:
-                # comp.points is x-sorted: bisect to the coordinate-match
-                # run instead of scanning the whole component per delete.
-                lo = bisect.bisect_left(comp.points, point.x, key=lambda p: p.x)
-                hi = bisect.bisect_right(comp.points, point.x, key=lambda p: p.x)
-                lo, hi = max(lo, w_lo), min(hi, w_hi)
-                candidates = [
-                    p
-                    for p in comp.points[lo:hi]
-                    if p.y == point.y and not self.delta.is_deleted(p)
-                ]
-                victim_index = resolve_victim_index(candidates, point)
-                if victim_index is not None:
-                    victim = candidates[victim_index]
-                    owner = comp.owner
-                    break
+        # Only the tower owning the coordinate can hold the victim:
+        # private components are range-scoped by construction and an
+        # inherited component's points outside the ref's interval
+        # belong to some sibling's ref -- or to no ref at all (a
+        # fold already moved them into a base), in which case the
+        # masked copy must never be chosen as a victim.
+        tower = self.shards[self.router.route_point(point.x)].tower
+        assert tower is not None
+        windows = [
+            (comp, 0, len(comp.points))
+            for comp in tower.private_components()
+        ] + [(ref.comp, ref.lo, ref.hi) for ref in tower.inherited]
+        for comp, w_lo, w_hi in windows:
+            # comp.points is x-sorted: bisect to the coordinate-match
+            # run instead of scanning the whole component per delete.
+            lo = bisect.bisect_left(comp.points, point.x, key=lambda p: p.x)
+            hi = bisect.bisect_right(comp.points, point.x, key=lambda p: p.x)
+            lo, hi = max(lo, w_lo), min(hi, w_hi)
+            candidates = [
+                p
+                for p in comp.points[lo:hi]
+                if p.y == point.y and not self.delta.is_deleted(p)
+            ]
+            victim_index = resolve_victim_index(candidates, point)
+            if victim_index is not None:
+                victim = candidates[victim_index]
+                owner = comp.owner
+                break
         if victim is None:
             sid = self.router.route_point(point.x)
             shard = self.shards[sid]
@@ -1719,11 +1600,8 @@ class SkylineService:
         self._live_xs.discard(victim.x)
         self._live_ys.discard(victim.y)
         self._bump_region(victim.x)
-        if self.leveled:
-            self._tick(victim.x)
-            self._maybe_reclaim_tombstones()
-        else:
-            self._maybe_compact()
+        self._tick(victim.x)
+        self._maybe_reclaim_tombstones()
         self._maybe_rebalance()
         return True
 
@@ -1788,13 +1666,6 @@ class SkylineService:
     def meter(self) -> IOMeter:
         """``with service.meter() as m: ...`` measures I/Os of the block."""
         return IOMeter(self.stats)
-
-    def engine(self) -> "object":
-        """Migration shim: this service wrapped as a :class:`repro.engine
-        .SkylineEngine` (the recommended request/response front door)."""
-        from repro.engine import ShardedServiceBackend, SkylineEngine
-
-        return SkylineEngine(ShardedServiceBackend(self))
 
     def close(self) -> int:
         """Clean shutdown: force the WAL tail durable; returns records flushed.
@@ -1867,69 +1738,56 @@ class SkylineService:
         ``result_cache`` carries the full cache counter set, and
         ``levels`` the per-level fill -- one row per level with
         ``{records, tombstones, capacity, merge_debt}`` (level 0 is the
-        memtable) -- replacing the flat ``delta`` block of old, so
-        callers such as :class:`repro.engine.ShardedServiceBackend` can
-        populate per-request execution reports without reaching into
-        private state.
+        memtable) -- so callers such as
+        :class:`repro.engine.ShardedServiceBackend` can populate
+        per-request execution reports without reaching into private
+        state.
         """
-        if self.leveled:
-            towers: List[Dict[str, object]] = []
-            agg: Dict[int, Dict[str, object]] = {}
-            for shard in self.shards:
-                tower = shard.tower
-                assert tower is not None
-                rows = tower.describe_levels()
-                towers.append(
-                    {"sid": shard.sid, "uid": shard.uid, "levels": rows}
+        towers: List[Dict[str, object]] = []
+        agg: Dict[int, Dict[str, object]] = {}
+        for shard in self.shards:
+            tower = shard.tower
+            assert tower is not None
+            rows = tower.describe_levels()
+            towers.append(
+                {"sid": shard.sid, "uid": shard.uid, "levels": rows}
+            )
+            for row in rows:
+                j = int(row["level"])  # type: ignore[arg-type]
+                acc = agg.setdefault(
+                    j,
+                    {
+                        "level": j,
+                        "records": 0,
+                        "tombstones": 0,
+                        "capacity": row["capacity"],
+                        "merge_debt": 0,
+                    },
                 )
-                for row in rows:
-                    j = int(row["level"])  # type: ignore[arg-type]
-                    acc = agg.setdefault(
-                        j,
-                        {
-                            "level": j,
-                            "records": 0,
-                            "tombstones": 0,
-                            "capacity": row["capacity"],
-                            "merge_debt": 0,
-                        },
-                    )
-                    acc["records"] = int(acc["records"]) + int(row["records"])  # type: ignore[arg-type]
-                    acc["tombstones"] = int(acc["tombstones"]) + int(row["tombstones"])  # type: ignore[arg-type]
-                    acc["merge_debt"] = int(acc["merge_debt"]) + int(row["merge_debt"])  # type: ignore[arg-type]
-                    if j == 0:
-                        for key in ("frozen", "inherited"):
-                            merged_list = list(acc.get(key, []))  # type: ignore[call-overload]
-                            merged_list.extend(row[key])  # type: ignore[arg-type]
-                            acc[key] = merged_list
-            levels = [agg[j] for j in sorted(agg)]
-            active = [
-                desc
-                for desc in (
-                    t.scheduler.describe()["active"] for t in self.towers()
-                )
-                if desc is not None
-            ]
-            scheduler = {
-                "active": active or None,
-                "queued_jobs": sum(
-                    len(t.scheduler.queue) for t in self.towers()
-                ),
-                "merges_completed": self.merges_completed,
-                "records_merged": self.records_merged,
-            }
-        else:
-            levels = [
-                {
-                    "level": 0,
-                    "records": len(self.delta.inserts),
-                    "tombstones": len(self.delta.tombstones),
-                    "capacity": self.config.delta_threshold,
-                    "merge_debt": 0,
-                }
-            ]
-            scheduler = None
-            towers = []
+                acc["records"] = int(acc["records"]) + int(row["records"])  # type: ignore[arg-type]
+                acc["tombstones"] = int(acc["tombstones"]) + int(row["tombstones"])  # type: ignore[arg-type]
+                acc["merge_debt"] = int(acc["merge_debt"]) + int(row["merge_debt"])  # type: ignore[arg-type]
+                if j == 0:
+                    for key in ("frozen", "inherited"):
+                        merged_list = list(acc.get(key, []))  # type: ignore[call-overload]
+                        merged_list.extend(row[key])  # type: ignore[arg-type]
+                        acc[key] = merged_list
+        levels = [agg[j] for j in sorted(agg)]
+        active = [
+            desc
+            for desc in (
+                t.scheduler.describe()["active"] for t in self.towers()
+            )
+            if desc is not None
+        ]
+        scheduler = {
+            "active": active or None,
+            "queued_jobs": sum(
+                len(t.scheduler.queue) for t in self.towers()
+            ),
+            "merges_completed": self.merges_completed,
+            "records_merged": self.records_merged,
+        }
         status: Dict[str, object] = {
             # The *router's* shard count -- authoritative everywhere: it
             # can differ from ServiceConfig.shard_count both downward
@@ -1943,7 +1801,7 @@ class SkylineService:
             "cuts": list(self.router.cuts),
             "topology": self.topology.describe(),
             "live_points": len(self),
-            "update_path": self.config.update_path,
+            "update_path": "leveled",
             "delta_inserts": len(self.delta.inserts),
             "delta_tombstones": len(self.delta.tombstones),
             "levels": levels,
@@ -1957,10 +1815,9 @@ class SkylineService:
             "io_total": self.io_total(),
             "blocks_in_use": self.blocks_in_use(),
             "durability": self.config.durability,
+            "scheduler": scheduler,
+            "towers": towers,
         }
-        if scheduler is not None:
-            status["scheduler"] = scheduler
-            status["towers"] = towers
         if self.store is not None and self.wal is not None:
             durability = dict(self.store.describe())
             durability["wal_pending"] = self.wal.pending

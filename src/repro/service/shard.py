@@ -75,9 +75,9 @@ class Shard:
         # Bumped by the service on every update routed into this shard's
         # x-range; cache keys embed it so invalidation stays shard-scoped.
         self.write_version = 0
-        # The shard's private level tower (leveled update path only; the
-        # service assigns it at shard creation).  Topology changes move
-        # whole towers and component sets, never point slices.
+        # The shard's private level tower (the service assigns it at
+        # shard creation).  Topology changes move whole towers and
+        # component sets, never point slices.
         self.tower: Optional["LevelManager"] = None
         self.points: List[Point] = []
         self.storage: Optional[StorageManager] = None

@@ -65,10 +65,10 @@ def drive(service, ops, rng):
 
     ``expected[k]`` is the canonical live set once the first ``k`` WAL
     records are applied.  One service call can emit several records (an
-    insert/delete record followed by an auto-compaction checkpoint); the
-    *first* record of a call carries the state change and the rest are
-    compaction checkpoints that leave the live set untouched, so gaps are
-    filled from the next recorded state.
+    insert record followed by a memtable flush, or a delete record
+    followed by a tombstone-reclaim compaction checkpoint); the *first*
+    record of a call carries the state change and the rest leave the
+    live set untouched, so gaps are filled from the next recorded state.
     """
     live = list(service.live_points())
     expected = {0: canon(live)}
@@ -88,8 +88,8 @@ def drive(service, ops, rng):
         elif roll < 0.85:
             service.compact()
         elif roll < 0.9:
-            # A no-op on the legacy path; on the leveled path it logs a
-            # drain checkpoint and may anchor a level-aware snapshot.
+            # Logs a drain checkpoint and may anchor a level-aware
+            # snapshot.
             service.drain()
         else:
             # Queries must not disturb durability state at all.
@@ -114,11 +114,8 @@ def drive(service, ops, rng):
     shard_count=st.integers(min_value=1, max_value=3),
     group_commit=st.sampled_from([1, 3]),
     snapshot_every=st.sampled_from([1, 2]),
-    update_path=st.sampled_from(["leveled", "threshold-compact"]),
 )
-def test_crash_recovery_every_prefix(
-    seed, shard_count, group_commit, snapshot_every, update_path
-):
+def test_crash_recovery_every_prefix(seed, shard_count, group_commit, snapshot_every):
     rng = random.Random(seed)
     points = seed_points(30, seed=seed)
     service = SkylineService(
@@ -131,7 +128,6 @@ def test_crash_recovery_every_prefix(
             durability=True,
             wal_group_commit=group_commit,
             snapshot_every_compactions=snapshot_every,
-            update_path=update_path,
         ),
     )
     expected = drive(service, ops=18, rng=rng)
@@ -328,16 +324,17 @@ def test_crashed_copy_truncates_mid_block():
 
 
 def test_manifests_dropped_beyond_kill_point():
-    """Legacy-path regression: snapshot cadence at auto compactions."""
+    """Regression: snapshot cadence at compaction checkpoints."""
     points = seed_points(40, seed=1)
     service = SkylineService(
         points,
         ServiceConfig(shard_count=2, block_size=8, memory_blocks=8,
-                      delta_threshold=4, durability=True, wal_group_commit=1,
-                      update_path="threshold-compact"),
+                      delta_threshold=4, durability=True, wal_group_commit=1),
     )
     for i in range(12):
         service.insert(Point(70_000.0 + i * 1.5, 80_000.0 + i * 2.5, 9_000 + i))
+        if i % 4 == 3:
+            service.compact()
     assert service.compactions >= 2
     manifests = service.store.manifests
     # Birth snapshot plus one per compaction (cadence 1).
@@ -366,11 +363,12 @@ def test_reclaim_frees_superseded_history():
     service = SkylineService(
         seed_points(40, seed=13),
         ServiceConfig(shard_count=2, block_size=8, memory_blocks=8,
-                      delta_threshold=5, durability=True, wal_group_commit=1,
-                      update_path="threshold-compact"),
+                      delta_threshold=5, durability=True, wal_group_commit=1),
     )
     for i in range(20):
         service.insert(Point(60_000.0 + i * 1.75, 50_000.0 + i * 2.75, 6_000 + i))
+        if i % 5 == 4:
+            service.compact()
     assert len(service.store.manifests) >= 3
     before_blocks = service.store.blocks_in_use()
     freed = service.reclaim()
@@ -433,11 +431,12 @@ def test_snapshot_cadence_bounds_replay():
             ServiceConfig(shard_count=2, block_size=8, memory_blocks=8,
                           delta_threshold=5, durability=True,
                           wal_group_commit=1,
-                          update_path="threshold-compact",
                           snapshot_every_compactions=snapshot_every),
         )
         for i in range(20):
             service.insert(Point(60_000.0 + i * 1.25, 50_000.0 + i * 2.25, 8_000 + i))
+            if i % 5 == 4:
+                service.compact()
         return service
 
     frequent, sparse = build(1), build(3)

@@ -233,17 +233,28 @@ def test_report_blocks_sum_to_ledger_total_both_backends():
 
 
 def test_sharded_compaction_is_charged_to_the_tripping_update():
-    """Legacy threshold-compact path: the update that trips the threshold
-    pays the whole O(n/B) rebuild in its own report."""
+    """Tombstone-reclaim valve: the delete that brings the tombstone table
+    to ``delta_threshold * level_growth`` pays the whole major-compaction
+    rebuild in its own report; the deletes before it charge nothing."""
     points = make_points(120)
     _, sharded = make_engines(
-        points, delta_threshold=4, update_path="threshold-compact"
+        points,
+        shard_count=2,
+        memory_blocks=8,
+        delta_threshold=4,
+        level_growth=2,
     )
-    cheap = [sharded.insert(Point(30_000.0 + i, 30_000.0 + i, 5_000 + i)) for i in range(3)]
-    tripping = sharded.insert(Point(40_000.0, 40_000.0, 5_999))
-    assert all(r.report.blocks == 0 for r in cheap)  # delta inserts are in-memory
-    assert tripping.report.blocks > 0  # the rebuild landed on this request
+    reports = [sharded.delete(victim) for victim in points[:8]]
+    assert all(r.applied for r in reports)
+    # Tombstones of base-resident points are in-memory bookkeeping.
+    assert [r.report.blocks for r in reports[:7]] == [0] * 7
+    # The eighth tombstone trips the valve: the rebuild landed on it.
+    assert reports[7].report.blocks == 178
     assert sharded.backend.service.compactions == 1
+    assert (
+        sharded.attributed_io() + sharded.maintenance_io()
+        == sharded.io_total() - sharded.build_io
+    )
 
 
 def test_leveled_updates_charge_bounded_maintenance_not_rebuilds():

@@ -1,23 +1,21 @@
-"""Hot-path equivalence tests (ISSUE 9): columnar kernels, pooled queue,
-snapshot-concurrent read batches.
+"""Hot-path equivalence tests: columnar kernels and snapshot-concurrent
+read batches.
 
-The columnar kernels and the pooled skip-list queue are pure speed
-plays: each must be *indistinguishable* from the implementation it
-replaced -- identical answers, identical pop order, identical block
-ledgers.  Hypothesis drives the equivalence properties over both column
-backends (numpy and the pure-python ``array`` fallback) by flipping the
-module's backend switch; the concurrency tests run the serving tier's
-serial and snapshot-concurrent read disciplines against identical
-engines and hold their answers and ledgers equal.
+The columnar kernels are a pure speed play: they must be
+*indistinguishable* from the implementation they replaced -- identical
+answers, identical block ledgers.  Hypothesis drives the equivalence
+properties over both column backends (numpy and the pure-python
+``array`` fallback) by flipping the module's backend switch; the
+concurrency tests run the serving tier's serial and snapshot-concurrent
+read disciplines against identical engines and hold their answers and
+ledgers equal.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 from contextlib import contextmanager
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +23,6 @@ from repro.analysis.locks import ReadWriteGate, tracked_rw_gate
 from repro.core import columns
 from repro.core.columns import PointColumns, filter_rect, sort_points_by_x
 from repro.core.point import Point
-from repro.core.pqueue import BLOCK_NODES, HeapQueue, SkipListPQ
 from repro.core.queries import RangeQuery
 from repro.engine import QueryRequest, SkylineEngine, UpdateRequest
 from repro.serve import ServerConfig, SkylineServer
@@ -34,7 +31,6 @@ from repro.service.merge import (
     merge_component_skylines_objects,
     merge_shard_skylines,
     merge_shard_skylines_objects,
-    merge_with_delta,
 )
 
 # ----------------------------------------------------------------------
@@ -126,21 +122,6 @@ def test_shard_merge_matches_objects(coords, k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(coords=_points_strategy())
-def test_merge_with_delta_matches_union_skyline(coords):
-    points = _mk_points(coords)
-    half = len(points) // 2
-    static, delta = points[:half], points[half:]
-    static_result = merge_component_skylines_objects(
-        [sorted(static, key=lambda p: p.x)]
-    )
-    expected = _canon(
-        merge_component_skylines_objects([list(static_result), delta])
-    )
-    assert _canon(merge_with_delta(static_result, delta)) == expected
-
-
-@settings(max_examples=60, deadline=None)
 @given(
     coords=_points_strategy(),
     window=st.tuples(
@@ -183,64 +164,6 @@ def test_columnar_results_are_original_objects():
         sort_points_by_x(points),
     ):
         assert all(any(g is p for p in points) for g in got)
-
-
-# ----------------------------------------------------------------------
-# Pooled skip-list queue vs heapq
-# ----------------------------------------------------------------------
-@settings(max_examples=80, deadline=None)
-@given(
-    priorities=st.lists(st.integers(0, 8), min_size=0, max_size=80),
-    pops=st.lists(st.booleans(), min_size=0, max_size=40),
-)
-def test_pop_order_matches_heapq(priorities, pops):
-    """Interleaved pushes and pops agree with ``heapq`` exactly.
-
-    Priorities collide on purpose; the unique tiebreak (the convention
-    every call site follows) makes keys totally ordered, so pop order --
-    including among equal priorities -- must be identical.
-    """
-    pooled = SkipListPQ()
-    reference: list = []
-    items = [(priority, seq) for seq, priority in enumerate(priorities)]
-    ops = iter(pops)
-    for item in items:
-        pooled.push(item)
-        heapq.heappush(reference, item)
-        assert pooled.peek() == reference[0]
-        if next(ops, False) and reference:
-            assert pooled.pop() == heapq.heappop(reference)
-    assert len(pooled) == len(reference)
-    while reference:
-        assert pooled.pop() == heapq.heappop(reference)
-    assert not pooled
-    with pytest.raises(IndexError):
-        pooled.pop()
-
-
-def test_heap_queue_adapter_matches_heapq_api():
-    queue = HeapQueue()
-    for value in (5, 1, 3):
-        queue.push((value, value))
-    assert queue.peek() == (1, 1)
-    assert [queue.pop() for _ in range(3)] == [(1, 1), (3, 3), (5, 5)]
-    assert not queue and len(queue) == 0
-
-
-def test_skiplist_pool_is_reused_across_cycles():
-    queue = SkipListPQ()
-    for item in range(BLOCK_NODES):
-        queue.push((item, item))
-    capacity = queue.capacity
-    for _ in range(5):
-        while queue:
-            queue.pop()
-        for item in range(BLOCK_NODES):
-            queue.push((item, item))
-        # Steady-state churn allocates no new node blocks.
-        assert queue.capacity == capacity
-    queue.clear()
-    assert len(queue) == 0 and queue.capacity == capacity
 
 
 # ----------------------------------------------------------------------

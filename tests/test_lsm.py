@@ -5,9 +5,8 @@ The acceptance properties:
 * **Pause-anywhere correctness** -- query answers equal the naive scan
   baseline no matter where the incremental merge is paused, including
   after every single bounded step.
-* **Bounded update spikes** -- a single insert at the old compact
-  threshold no longer charges an ``O(n/B)`` rebuild (pinned regression
-  against the legacy threshold-compact path).
+* **Bounded update spikes** -- a single insert at the memtable
+  threshold never charges an ``O(n/B)`` rebuild.
 * **Exact level-state recovery** -- a drain checkpoint's level-aware
   snapshot plus WAL replay restores the exact level layout after a crash
   at any durable prefix.
@@ -176,42 +175,33 @@ def test_single_step_pauses_with_explicit_scheduler_stepping():
 
 
 # ----------------------------------------------------------------------
-# Pinned regression: no O(n/B) spike at the old compact threshold
+# Pinned regression: no O(n/B) spike at the memtable threshold
 # ----------------------------------------------------------------------
 def test_insert_at_threshold_charges_bounded_io_not_a_rebuild():
     points = uniform_points(2_000, universe=10_000_000, seed=3)
     threshold = 64
-
-    def tripping_insert_cost(update_path):
-        service = SkylineService(
-            points,
-            ServiceConfig(
-                shard_count=4,
-                block_size=16,
-                memory_blocks=8,
-                delta_threshold=threshold,
-                update_path=update_path,
-            ),
+    service = SkylineService(
+        points,
+        ServiceConfig(
+            shard_count=4,
+            block_size=16,
+            memory_blocks=8,
+            delta_threshold=threshold,
+        ),
+    )
+    for i in range(threshold - 1):
+        service.insert(
+            Point(20_000_000.0 + i * 1.25, 20_000_000.0 + i * 1.5, 50_000 + i)
         )
-        for i in range(threshold - 1):
-            service.insert(
-                Point(20_000_000.0 + i * 1.25, 20_000_000.0 + i * 1.5, 50_000 + i)
-            )
-        before = service.snapshot()
-        service.insert(Point(30_000_000.5, 30_000_000.5, 59_999))
-        return (service.snapshot() - before).total, service
-
-    legacy_cost, legacy = tripping_insert_cost("threshold-compact")
-    leveled_cost, leveled = tripping_insert_cost("leveled")
-    n_over_b = len(points) / legacy.config.block_size
-    # The legacy path rebuilt every shard: at least n/B transfers.
-    assert legacy.compactions == 1
-    assert legacy_cost >= n_over_b
-    # The leveled path sealed the memtable and paid at most the bounded
-    # step -- more than 10x below the legacy spike, and O(1) in n.
-    assert leveled.compactions == 0
-    assert leveled_cost <= leveled.config.merge_step_blocks
-    assert leveled_cost * 10 <= legacy_cost
+    before = service.snapshot()
+    service.insert(Point(30_000_000.5, 30_000_000.5, 59_999))
+    cost = (service.snapshot() - before).total
+    n_over_b = len(points) / service.config.block_size
+    # The tripping insert sealed the memtable and paid at most the
+    # bounded step -- more than 10x below an n/B rebuild, and O(1) in n.
+    assert service.compactions == 0
+    assert cost <= service.config.merge_step_blocks
+    assert cost * 10 <= n_over_b
 
 
 def test_worst_case_update_bounded_over_long_run():
@@ -466,24 +456,6 @@ def layout_snapshot(service):
     }
 
 
-def test_opening_leveled_store_with_legacy_config_raises_clearly():
-    """A store whose WAL holds leveled records (flush/drain) cannot be
-    replayed under update_path='threshold-compact': the mismatch must be
-    a descriptive ValueError, not a mid-replay assertion."""
-    import pytest
-
-    points = seed_points(20, seed=5)
-    service = SkylineService(points, durable_leveled_config(delta_threshold=4))
-    for i in range(6):  # past the threshold: logs an OP_FLUSH record
-        service.insert(Point(200_000.0 + i * 1.25, 200_000.0 + i * 1.5, 40_000 + i))
-    service.close()
-    with pytest.raises(ValueError, match="leveled"):
-        SkylineService.open(service.store, update_path="threshold-compact")
-    # Opened with the recorded (leveled) config, recovery works as usual.
-    recovered = SkylineService.open(service.store)
-    assert canon(recovered.live_points()) == canon(service.live_points())
-
-
 def test_crash_at_every_prefix_recovers_exact_level_state():
     """Beyond the live-set property of test_durability: after a crash the
     recovered *level layout* -- levels, frozen memtables, memtable,
@@ -603,13 +575,6 @@ def test_explain_reports_level_layout_and_update_bound():
     assert plan.update_io == (
         g * max(1.0, math.log(max(2.0, n / c), g)) / b
     )
-    # The legacy path quotes the rebuild bound instead.
-    legacy = SkylineEngine.sharded(
-        points, ServiceConfig(shard_count=2, update_path="threshold-compact")
-    )
-    legacy_plan = legacy.explain(RangeQuery())
-    assert legacy_plan.update_path == "threshold-compact"
-    assert "rebuild" in legacy_plan.update_bound
 
 
 # ----------------------------------------------------------------------

@@ -453,25 +453,9 @@ def test_service_buckets_tombstones_under_owning_shard():
     )
 
 
-def test_auto_compaction_threshold_legacy_path():
-    """The legacy threshold-compact path still triggers a stop-the-world
-    rebuild when the flat delta fills."""
-    points = uniform_points(200, seed=9)
-    service = SkylineService(
-        points, shard_count=2, delta_threshold=8, auto_compact=True,
-        update_path="threshold-compact",
-    )
-    for i in range(8):
-        service.insert(Point(points[i].x + 0.5, points[i].y + 0.5, 500 + i))
-    assert service.compactions == 1
-    assert len(service.delta) == 0
-    # Shard boundaries were rebalanced over the grown point set.
-    assert sum(len(s) for s in service.shards) == 208
-
-
 def test_leveled_path_seals_instead_of_compacting():
-    """On the leveled path the same threshold seals the memtable into the
-    merge scheduler: no compaction, no O(n/B) rebuild on the update."""
+    """The memtable threshold seals the memtable into the merge
+    scheduler: no compaction, no O(n/B) rebuild on the update."""
     points = uniform_points(200, seed=9)
     service = SkylineService(
         points, shard_count=2, delta_threshold=8, auto_compact=True,
@@ -573,26 +557,12 @@ def test_describe_exposes_cache_and_level_counters():
         status["scheduler"]
     )
     assert status["maintenance_io"] == service.maintenance_io()
-    # The legacy path reports the flat delta as a single level-0 row.
-    legacy = SkylineService(
-        points, shard_count=2, update_path="threshold-compact"
-    )
-    legacy.insert(Point(300.5, 300.5, 9_002))
-    rows = legacy.describe()["levels"]
-    assert len(rows) == 1 and rows[0]["records"] == 1
-    assert "scheduler" not in legacy.describe()
 
 
 def test_service_reexports():
     import repro
-    import repro.api
 
     assert repro.SkylineService is SkylineService
-    # The repro.api import path is a deprecation shim: the warning is
-    # asserted here (and the suite runs with filterwarnings=error, so an
-    # unexpected warning anywhere else fails loudly).
-    with pytest.warns(DeprecationWarning, match="repro.api is deprecated"):
-        assert repro.api.SkylineService is SkylineService
     assert repro.ServiceConfig is ServiceConfig
     with pytest.raises(AttributeError):
         repro.does_not_exist

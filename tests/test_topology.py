@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro import FourSidedQuery, Point, RangeQuery, TopOpenQuery
 from repro.core.skyline import range_skyline
-from repro.engine import QueryRequest, SkylineEngine
+from repro.engine import QueryRequest, ShardedServiceBackend, SkylineEngine
 from repro.service import (
     ServiceConfig,
     ShardRouter,
@@ -425,7 +425,7 @@ def test_actual_shard_count_authoritative_when_cuts_degenerate():
     topo = status["topology"]
     assert topo["shard_count"] == actual
     assert topo["configured_shard_count"] == 8
-    engine = service.engine()
+    engine = SkylineEngine(ShardedServiceBackend(service))
     plan = engine.explain(RangeQuery())
     assert plan.shards_visited + plan.shards_pruned == actual
     assert engine.describe()["backend"]["shard_count"] == actual
