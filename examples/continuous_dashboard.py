@@ -22,7 +22,7 @@ import random
 
 from repro import Point, RangeQuery
 from repro.engine import SkylineEngine, SubscribeRequest
-from repro.serve import ServerConfig, SkylineServer
+from repro.serve import SkylineServer
 from repro.workloads import uniform_points
 
 UNIVERSE = 1_000_000
@@ -73,7 +73,7 @@ async def main() -> None:
         shard_count=4,
         cache_capacity=0,
     )
-    server = SkylineServer(engine, ServerConfig(adaptive_gather=True))
+    server = SkylineServer(engine)
     try:
         handle = server.subscribe(SubscribeRequest(WATCHED))
         redraw_task = asyncio.create_task(dashboard(handle))
@@ -93,7 +93,7 @@ async def main() -> None:
             f"{subs['skipped']} skipped by write-version scope"
         )
         print(f"notification blocks    : {subs['notify_blocks']}")
-        print(f"adaptive gather window : {status['gather_window_s']*1e3:.3f} ms")
+        print(f"effective gather window: {status['gather_window_s']*1e3:.3f} ms")
     finally:
         server.stop()
 

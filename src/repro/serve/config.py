@@ -22,28 +22,19 @@ class ServerConfig:
     Attributes
     ----------
     gather_window:
-        Cross-caller coalescing window, in seconds.  After the dispatcher
-        pulls the first pending read it keeps gathering submissions for at
-        most this long (or until ``max_batch``), so concurrent callers
-        hitting the service within one window are served as *one* batch
-        and duplicate rectangles among them execute once.  ``0`` still
-        drains whatever is already queued (burst coalescing) but never
-        waits for stragglers.  With ``adaptive_gather`` this value is only
-        the starting point.
-    adaptive_gather:
-        Adapt the gather window to the *observed* read arrival rate: the
-        dispatcher keeps an EWMA of submission inter-arrival gaps and
-        sizes the window to roughly the time ``max_batch`` submissions
-        take to arrive, clamped to ``[0, gather_window_max]``.  Under a
-        fast stream the window shrinks (no pointless waiting); under a
-        trickle it stops stretching past the clamp, so latency stays
-        bounded.  ``describe()`` reports the currently effective window.
-    gather_alpha:
-        EWMA smoothing factor in ``(0, 1]`` for the arrival-gap estimate
-        (higher = reacts faster to rate changes).
-    gather_window_max:
-        Upper clamp of the adaptive window, seconds.  ``None`` defaults
-        to ``4 * gather_window``.
+        Cross-caller coalescing window, in seconds, and the one bound on
+        how long a read waits for company.  After the dispatcher pulls the
+        first pending read it keeps gathering submissions for at most this
+        long (or until ``max_batch``), so concurrent callers hitting the
+        service within one window are served as *one* batch and duplicate
+        rectangles among them execute once.  The wait is arrival-aware:
+        the dispatcher keeps an EWMA of read inter-arrival gaps and waits
+        only while that mean gap is no longer than the window (or before
+        any estimate exists).  When reads arrive further apart, no company
+        can come within the window, so it drains whatever is already
+        queued and dispatches at once.  ``0`` never waits but still drains
+        the queue (burst coalescing).  ``describe()`` reports the window
+        in effect and the EWMA.
     max_batch:
         Upper bound on the submissions gathered into one read batch.
     coalesce:
@@ -82,9 +73,6 @@ class ServerConfig:
     """
 
     gather_window: float = 0.002
-    adaptive_gather: bool = False
-    gather_alpha: float = 0.2
-    gather_window_max: Optional[float] = None
     max_batch: int = 64
     coalesce: bool = True
     max_read_queue: int = 1024
@@ -97,15 +85,6 @@ class ServerConfig:
         if self.gather_window < 0:
             raise ValueError(
                 f"gather_window must be >= 0, got {self.gather_window}"
-            )
-        if not 0 < self.gather_alpha <= 1:
-            raise ValueError(
-                f"gather_alpha must be in (0, 1], got {self.gather_alpha}"
-            )
-        if self.gather_window_max is not None and self.gather_window_max < 0:
-            raise ValueError(
-                f"gather_window_max must be >= 0 or None, "
-                f"got {self.gather_window_max}"
             )
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")

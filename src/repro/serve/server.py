@@ -3,10 +3,10 @@
 The engine serves one caller at a time; this server turns it into a
 front end for many.  Submissions (sync callers and asyncio coroutines
 alike) land on bounded intake queues; a single **dispatcher** thread
-gathers reads within a small window and executes each gathered batch --
-duplicate requests across callers coalesced onto one computation --
-through the engine's native batch executor, whose per-shard worklists run
-on the persistent uid-keyed :class:`~repro.serve.workers.ShardWorkerPool`;
+gathers reads and executes each gathered batch -- duplicate requests
+across callers coalesced onto one computation -- through the engine's
+native batch executor, whose per-shard worklists run on the persistent
+uid-keyed :class:`~repro.serve.workers.ShardWorkerPool`;
 a single **writer lane** thread serializes updates, so writes interleave
 safely with read batches (the two lanes exclude each other on one engine
 lock, and nothing else ever touches the engine).  Admission control is a
@@ -17,18 +17,21 @@ deadlines fail still-queued work with
 :class:`~repro.serve.errors.DeadlineExceeded` -- so queue wait, and with
 it tail latency, cannot grow without bound no matter the offered load.
 
-Two streaming-tier extensions ride the same lanes.  **Subscriptions**
-(:meth:`SkylineServer.subscribe`) register continuous queries: after the
-writer lane applies each update it pumps a
-:class:`~repro.stream.SubscriptionManager`, which uses the per-shard
-``(uid, write_version)`` scopes to recompute only the subscriptions
-overlapping a written shard, and the resulting deltas fan out to bounded
-per-subscriber queues (thread iterators, ``async for`` via
-:meth:`ServerSubscription.deltas`, or inline callbacks) with the same
-deadline and shed semantics as the intake queues.  **Adaptive gather**
-(``config.adaptive_gather``) replaces the fixed coalescing window with
-one sized from an EWMA of observed read inter-arrival gaps, exposed live
-in :meth:`SkylineServer.describe`.
+**Arrival-aware gathering.**  The dispatcher keeps an EWMA of read
+inter-arrival gaps and waits up to ``config.gather_window`` for more
+reads only while that mean gap is no longer than the window (or before
+any estimate exists); when reads arrive further apart, waiting cannot
+grow a batch, so it drains whatever is already queued and dispatches at
+once.  :meth:`SkylineServer.describe` reports the window in effect.
+
+**Subscriptions** (:meth:`SkylineServer.subscribe`) ride the same
+lanes as continuous queries: after the writer lane applies each update
+it pumps a :class:`~repro.stream.SubscriptionManager`, which uses the
+per-shard ``(uid, write_version)`` scopes to recompute only the
+subscriptions overlapping a written shard, and the resulting deltas fan
+out to bounded per-subscriber queues (thread iterators, ``async for``
+via :meth:`ServerSubscription.deltas`, or inline callbacks) with the
+same deadline and shed semantics as the intake queues.
 
 Every response pairs the engine's per-request
 :class:`~repro.engine.report.ExecutionReport` with a
@@ -101,6 +104,13 @@ Request = Union[QueryRequest, UpdateRequest]
 #: How long the lane threads sleep on an empty queue before re-checking
 #: the stop flag.  Purely an implementation detail of shutdown latency.
 _IDLE_POLL_S = 0.02
+
+#: EWMA smoothing factor of the read inter-arrival gap estimate.
+GATHER_ALPHA = 0.2
+#: Each observed gap enters the EWMA capped at this many gather windows,
+#: so after an idle pause back-to-back reads pull the estimate back under
+#: the window within 8 arrivals (``4 * (1 - 0.2) ** 7 < 1``).
+GATHER_GAP_CAP = 4.0
 
 
 @dataclass
@@ -323,11 +333,10 @@ class SkylineServer:
         self._notified = 0
         self._notify_blocks = 0
         self._subs_shed = 0
-        # Adaptive gather state -- touched only by the dispatcher thread
+        # Arrival-gap estimate -- touched only by the dispatcher thread
         # (describe() reads are monotonic snapshots, no lock needed).
         self._arrival_ewma: Optional[float] = None
         self._last_arrival: Optional[float] = None
-        self._gather_current: float = self.config.gather_window
         self._stop = threading.Event()
         self._started = False
         self._closed = False
@@ -615,46 +624,32 @@ class SkylineServer:
     # Read lane: gather -> coalesce -> batch-execute -> fan out
     # ------------------------------------------------------------------
     def current_gather_window(self) -> float:
-        """The gather window now in effect (adapted, or the configured
-        constant)."""
-        if not self.config.adaptive_gather:
-            return self.config.gather_window
-        return self._gather_current
+        """The gather window now in effect: ``config.gather_window`` while
+        the mean read inter-arrival gap is no longer than it (or before
+        any estimate exists), else ``0`` -- company arriving further apart
+        than the window cannot join a batch inside it."""
+        window = self.config.gather_window
+        if self._arrival_ewma is None or self._arrival_ewma <= window:
+            return window
+        return 0.0
 
     def _observe_arrivals(self, batch: List[_Submission]) -> None:
-        """Fold a gathered batch's inter-arrival gaps into the EWMA and
-        re-size the gather window (dispatcher thread only).
-
-        The window targets the time ``max_batch`` submissions take to
-        arrive at the observed rate -- waiting longer than that cannot
-        grow the batch, waiting less gives up coalescing for nothing --
-        clamped to ``[0, gather_window_max]`` so a trickle of traffic
-        cannot stretch latency unboundedly.
-        """
-        if not self.config.adaptive_gather:
-            return
-        alpha = self.config.gather_alpha
+        """Fold a gathered batch's inter-arrival gaps, each capped at
+        :data:`GATHER_GAP_CAP` windows, into the EWMA (dispatcher thread
+        only)."""
+        cap = GATHER_GAP_CAP * self.config.gather_window
         previous = self._last_arrival
         for arrived_at in sorted(s.enqueued_at for s in batch):
             if previous is not None:
-                gap = max(0.0, arrived_at - previous)
+                gap = min(cap, max(0.0, arrived_at - previous))
                 self._arrival_ewma = (
                     gap
                     if self._arrival_ewma is None
-                    else alpha * gap + (1 - alpha) * self._arrival_ewma
+                    else GATHER_ALPHA * gap
+                    + (1 - GATHER_ALPHA) * self._arrival_ewma
                 )
             previous = arrived_at
         self._last_arrival = previous
-        if self._arrival_ewma is None:
-            return
-        cap = (
-            self.config.gather_window_max
-            if self.config.gather_window_max is not None
-            else 4 * self.config.gather_window
-        )
-        self._gather_current = min(
-            cap, (self.config.max_batch - 1) * self._arrival_ewma
-        )
 
     def _dispatch_loop(self) -> None:
         # Read batches handed to the read-lane executor whose results are
@@ -662,7 +657,8 @@ class SkylineServer:
         inflight: List["Future[None]"] = []
         while not self._stop.is_set():
             inflight = [f for f in inflight if not f.done()]
-            if inflight:
+            window = self.current_gather_window()
+            if inflight and window > 0:
                 # Pipelined gather: while a batch executes, the next
                 # window is already open -- anchored at the previous
                 # dispatch, not at the next arrival -- so the window's
@@ -673,11 +669,13 @@ class SkylineServer:
                 # paying window + execution per cycle.
                 batch = []
             else:
+                # Block for the first read -- bounded, so the stop flag
+                # is still seen -- rather than poll an empty queue.
                 try:
                     batch = [self._read_queue.get(timeout=_IDLE_POLL_S)]
                 except queue.Empty:
                     continue
-            horizon = time.perf_counter() + self.current_gather_window()
+            horizon = time.perf_counter() + window
             while len(batch) < self.config.max_batch:
                 remaining = horizon - time.perf_counter()
                 try:
@@ -961,7 +959,6 @@ class SkylineServer:
                 "running": self._started and not self._closed,
                 "gather_window_s": self.current_gather_window(),
                 "configured_gather_window_s": self.config.gather_window,
-                "adaptive_gather": self.config.adaptive_gather,
                 "arrival_ewma_s": self._arrival_ewma,
                 "max_batch": self.config.max_batch,
                 "coalesce": self.config.coalesce,

@@ -445,9 +445,9 @@ from repro.serve.server import _Submission  # noqa: E402
 _DOMINATOR = Point(2_000_000.0, 2_000_000.5, ident=777_777)
 
 
-def _sub_server(seed=17, config=None):
+def _sub_server(seed=17, config=None, start=True):
     base = uniform_points(256, universe=100_000, seed=seed)
-    return SkylineServer(SkylineEngine.sharded(base, **CFG), config)
+    return SkylineServer(SkylineEngine.sharded(base, **CFG), config, start=start)
 
 
 def test_subscription_delivers_initial_snapshot_then_write_deltas():
@@ -578,7 +578,7 @@ def test_subscribing_on_a_stopped_server_raises():
 
 
 # ----------------------------------------------------------------------
-# Adaptive gather window (EWMA of inter-arrival gaps)
+# Arrival-aware gather window (EWMA of inter-arrival gaps)
 # ----------------------------------------------------------------------
 def _arrivals(start, gaps):
     at = start
@@ -589,42 +589,104 @@ def _arrivals(start, gaps):
     return out
 
 
-def test_adaptive_gather_window_tracks_arrival_rate():
-    config = ServerConfig(
-        adaptive_gather=True,
-        gather_window=0.002,
-        gather_window_max=0.05,
-        gather_alpha=1.0,  # no smoothing: the window follows the last gap
-        max_batch=8,
-    )
-    with _sub_server(config=config) as server:
-        assert server.current_gather_window() == 0.002  # pre-traffic
-        server._observe_arrivals(_arrivals(100.0, [0.001] * 4))
-        # Window targets (max_batch - 1) arrivals at the observed rate.
-        assert server.current_gather_window() == pytest.approx(0.007)
-        # A slow trickle is clamped by gather_window_max.
-        server._observe_arrivals(_arrivals(200.0, [0.1] * 4))
-        assert server.current_gather_window() == pytest.approx(0.05)
+def test_gather_window_before_any_traffic_is_the_configured_one():
+    with _sub_server(config=ServerConfig(gather_window=0.002)) as server:
+        assert server.current_gather_window() == 0.002
+        # One arrival gives no gap yet: still no estimate.
+        server._observe_arrivals(_arrivals(100.0, []))
+        assert server.current_gather_window() == 0.002
         status = server.describe()["server"]
-        assert status["adaptive_gather"] is True
-        assert status["gather_window_s"] == pytest.approx(0.05)
+        assert status["gather_window_s"] == 0.002
+        assert status["arrival_ewma_s"] is None
+        assert "adaptive_gather" not in status
+
+
+def test_gather_window_closes_when_reads_arrive_further_apart():
+    with _sub_server(config=ServerConfig(gather_window=0.002)) as server:
+        server._observe_arrivals(_arrivals(100.0, [0.005] * 8))
+        assert server.current_gather_window() == 0.0
+        status = server.describe()["server"]
+        assert status["gather_window_s"] == 0.0
         assert status["configured_gather_window_s"] == 0.002
-        assert status["arrival_ewma_s"] == pytest.approx(0.1)
+        assert status["arrival_ewma_s"] == pytest.approx(0.005)
 
 
-def test_adaptive_gather_is_inert_when_disabled():
-    with _sub_server() as server:  # default config: adaptive off
-        server._observe_arrivals(_arrivals(100.0, [0.5] * 3))
-        assert server.current_gather_window() == server.config.gather_window
-        assert server.describe()["server"]["adaptive_gather"] is False
+def test_gather_window_stays_open_when_reads_arrive_closer():
+    with _sub_server(config=ServerConfig(gather_window=0.002)) as server:
+        server._observe_arrivals(_arrivals(100.0, [0.0005] * 8))
+        assert server.current_gather_window() == 0.002
+        # Folded across batches: the gap to the previous batch counts.
+        server._observe_arrivals(_arrivals(100.0045, [0.0005] * 3))
+        assert server.current_gather_window() == 0.002
+        assert server.describe()["server"]["arrival_ewma_s"] == pytest.approx(
+            0.0005
+        )
+
+
+def test_gather_window_reopens_soon_after_an_idle_pause():
+    with _sub_server(config=ServerConfig(gather_window=0.002)) as server:
+        # A trickle far apart closes the window ...
+        server._observe_arrivals(_arrivals(100.0, [0.05] * 20))
+        assert server.current_gather_window() == 0.0
+        # ... an hour of silence, then reads back to back, each its own
+        # batch: the capped gaps let waiting resume within 8 arrivals.
+        at = 100.0 + 20 * 0.05 + 3600.0
+        for arrivals in range(1, 9):
+            server._observe_arrivals(_arrivals(at, []))
+            if server.current_gather_window() == 0.002:
+                break
+            at += 1e-5
+        assert server.current_gather_window() == 0.002
+        assert arrivals <= 8
+
+
+def test_sparse_reads_do_not_wait_out_the_window():
+    window = 0.05
+    with _sub_server(config=ServerConfig(gather_window=window)) as server:
+        waits = []
+        due = time.perf_counter()
+        for _ in range(6):
+            time.sleep(max(0.0, due - time.perf_counter()))
+            due = time.perf_counter() + 0.1
+            served = server.query(RangeQuery(), timeout=10.0)
+            waits.append(served.serving.queue_wait_s)
+        status = server.describe()["server"]
+    # The first two reads have no gap estimate yet and wait for company;
+    # from the third on the estimate (>= 0.1 s) exceeds the window.
+    assert all(wait < window for wait in waits[2:]), waits
+    assert status["gather_window_s"] == 0.0
+    assert status["arrival_ewma_s"] > window
+
+
+def test_pipelined_dispatcher_blocks_instead_of_polling():
+    # A zero window with a batch in flight must not spin on the queue:
+    # count the dispatcher's queue reads while one slow batch executes.
+    class CountingQueue(_queue.Queue):
+        gets = 0
+
+        def get(self, block=True, timeout=None):
+            CountingQueue.gets += 1
+            return super().get(block, timeout)
+
+    config = ServerConfig(gather_window=0.0, read_concurrency=4)
+    server = _sub_server(config=config, start=False)
+    server._read_queue = CountingQueue(config.max_read_queue)
+    serve_batch = server._serve_read_batch
+
+    def slow_batch(batch):
+        time.sleep(0.3)
+        serve_batch(batch)
+
+    server._serve_read_batch = slow_batch
+    with server.start():
+        assert server.describe()["server"]["read_concurrency"] == 4
+        served = server.query(RangeQuery(), timeout=10.0)
+    assert served.serving.latency_s >= 0.3
+    # One blocking read per idle-poll period (20 ms) while the batch
+    # runs; a busy-polling dispatcher makes tens of thousands.
+    assert CountingQueue.gets < 100, CountingQueue.gets
 
 
 def test_streaming_config_validation():
-    with pytest.raises(ValueError):
-        ServerConfig(gather_alpha=0.0)
-    with pytest.raises(ValueError):
-        ServerConfig(gather_alpha=1.5)
-    with pytest.raises(ValueError):
-        ServerConfig(gather_window_max=-1.0)
     with pytest.raises(ValueError):
         ServerConfig(max_subscription_queue=0)
