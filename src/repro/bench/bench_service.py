@@ -198,16 +198,16 @@ def run_traffic_sweep(
         ]
         cell = summary.setdefault(workload, {})
 
-        # query_batch keeps the native batch executor (worklists,
-        # coalescing, thread fan-out); I/O per cell is the sum of exact
-        # batch-report ledger deltas.
+        # query_batch_shared keeps the native batch executor (worklists,
+        # coalescing); I/O per cell is the sum of exact batch-report
+        # ledger deltas.
         mono = _make_local(points, block_size, memory_blocks)
         mono.drop_caches()
         start = time.perf_counter()
         expected: List[QueryResult] = []
         mono_io = 0
         for batch in batches:
-            results, batch_report = mono.query_batch(batch)
+            results, batch_report = mono.query_batch_shared(batch)
             expected.extend(results)
             mono_io += batch_report.blocks
         mono_ms = (time.perf_counter() - start) * 1000.0
@@ -230,7 +230,7 @@ def run_traffic_sweep(
             got: List[QueryResult] = []
             sharded_io = 0
             for batch in batches:
-                results, batch_report = sharded.query_batch(batch)
+                results, batch_report = sharded.query_batch_shared(batch)
                 got.extend(results)
                 sharded_io += batch_report.blocks
             sharded_ms = (time.perf_counter() - start) * 1000.0

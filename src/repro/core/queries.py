@@ -27,9 +27,10 @@ class RangeQuery:
     y_hi: float = INF
 
     def __post_init__(self) -> None:
-        if self.x_lo > self.x_hi:
+        # Negated so a NaN side, which compares false, is rejected too.
+        if not self.x_lo <= self.x_hi:
             raise ValueError(f"empty x-range [{self.x_lo}, {self.x_hi}]")
-        if self.y_lo > self.y_hi:
+        if not self.y_lo <= self.y_hi:
             raise ValueError(f"empty y-range [{self.y_lo}, {self.y_hi}]")
 
     def contains(self, point: Point) -> bool:

@@ -104,16 +104,12 @@ class Backend(Protocol):
         """Number of live points."""
         ...
 
-    def execute(
-        self, rect: RangeQuery, consistency: str
-    ) -> Tuple[List[Point], QueryTrace]:
-        """Answer ``rect`` (full, unpaginated result in x-order)."""
-        ...
-
     def execute_many(
         self, rects: List[RangeQuery], consistency: str
     ) -> List[Tuple[List[Point], QueryTrace]]:
-        """Answer a batch through the backend's native batch executor."""
+        """Answer a batch through the backend's native batch executor:
+        ``result[i]`` is the full, unpaginated x-ordered answer to
+        ``rects[i]`` plus its trace."""
         ...
 
     def apply(self, request: UpdateRequest) -> bool:
@@ -205,18 +201,13 @@ class LocalIndexBackend:
         return len(self.index)
 
     # -- execution -----------------------------------------------------
-    def execute(
-        self, rect: RangeQuery, consistency: str
-    ) -> Tuple[List[Point], QueryTrace]:
-        # The monolithic index has no result cache, so both consistency
-        # levels recompute; there is exactly one "shard" and no delta.
-        return self.index.query(rect), QueryTrace(shards_visited=1)
-
     def execute_many(
         self, rects: List[RangeQuery], consistency: str
     ) -> List[Tuple[List[Point], QueryTrace]]:
         """One native ``query_many`` call (variant/x-ordered for
-        buffer-pool locality)."""
+        buffer-pool locality).  The monolithic index has no result
+        cache, so both consistency levels recompute; there is exactly
+        one "shard" and no delta."""
         return [
             (points, QueryTrace(shards_visited=1))
             for points in self.index.query_many(rects)
@@ -345,23 +336,12 @@ class ShardedServiceBackend:
             coalesced=trace.coalesced,
         )
 
-    def execute(
-        self, rect: RangeQuery, consistency: str
-    ) -> Tuple[List[Point], QueryTrace]:
-        service = self.service
-        # repro: calls(SkylineService.query_many_traced)
-        results, traces = service.query_many_traced(
-            [rect], use_cache=consistency != "fresh"
-        )
-        return results[0], self._trace_from(traces[0])
-
     def execute_many(
         self, rects: List[RangeQuery], consistency: str
     ) -> List[Tuple[List[Point], QueryTrace]]:
-        """One native ``query_many_traced`` call: worklist batching,
-        duplicate coalescing and ``parallelism`` thread fan-out all
-        apply.  The traced variant keeps concurrent batch executions from
-        racing on ``service.last_traces``."""
+        """One native ``query_many_traced`` call: worklist batching and
+        duplicate coalescing apply, and the traces come back with the
+        results, so concurrent batch executions share no state."""
         service = self.service
         # repro: calls(SkylineService.query_many_traced)
         results, traces = service.query_many_traced(

@@ -24,7 +24,7 @@ exactly on both backends.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.analysis import sanitize as _sanitize
 from repro.analysis.locks import tracked_lock
@@ -52,6 +52,7 @@ from repro.service.durability import DurableStore
 Request = Union[QueryRequest, UpdateRequest]
 Response = Union[QueryResult, UpdateResult]
 QueryLike = Union[QueryRequest, RangeQuery]
+_T = TypeVar("_T")
 
 
 def _paginate(
@@ -231,8 +232,8 @@ class SkylineEngine:
         plan = self.backend.plan(req)
         self._san_pre()
         before = self.backend.snapshot()
-        # repro: calls(ShardedServiceBackend.execute)
-        points, trace = self.backend.execute(req.rect, req.consistency)
+        # repro: calls(ShardedServiceBackend.execute_many)
+        points, trace = self.backend.execute_many([req.rect], req.consistency)[0]
         delta = self.backend.snapshot() - before
         k = len(points)
         page, next_cursor = _paginate(points, req.cursor, req.limit)
@@ -271,56 +272,10 @@ class SkylineEngine:
         (the batch-level coalescing a raw ``SkylineService.query_many``
         performs shows up here as cache hits from the second occurrence
         on).  When batch throughput matters more than per-request
-        attribution, use :meth:`query_batch`, which keeps the backend's
-        native batch executor (worklists, coalescing, ``parallelism``
-        thread fan-out).
+        attribution, use :meth:`query_batch_shared`, which runs the whole
+        batch as one backend call (worklists, coalescing).
         """
         return [self.query(request) for request in requests]
-
-    def query_batch(
-        self, requests: Sequence[QueryLike]
-    ) -> Tuple[List[QueryResult], ExecutionReport]:
-        """Execute a batch through the backend's *native* batch executor.
-
-        Unlike :meth:`query_many`, the whole batch runs as one backend
-        call, so per-shard worklist grouping, in-batch duplicate
-        coalescing and ``ServiceConfig.parallelism`` thread fan-out all
-        apply.  The trade-off is attribution granularity: the ledger
-        delta of the batch cannot be split per request (workers interleave
-        on shared structures), so each per-request report carries its
-        trace flags with zero blocks and the returned *batch report*
-        carries the exact ledger delta of the whole call -- counted once
-        in :meth:`attributed_io`, so the accounting identity still holds.
-
-        Pagination (``limit``/``cursor``) applies per request as usual.
-        A batch runs cache-bypassing iff any request asks for
-        ``consistency="fresh"``.
-        """
-        reqs = [self._coerce(request) for request in requests]
-        consistency = (
-            "fresh" if any(r.consistency == "fresh" for r in reqs) else "cached"
-        )
-        plans = [self.backend.plan(r) for r in reqs]
-        self._san_pre()
-        before = self.backend.snapshot()
-        # repro: calls(ShardedServiceBackend.execute_many)
-        executed = self.backend.execute_many([r.rect for r in reqs], consistency)
-        delta = self.backend.snapshot() - before
-        results, total_k, predicted = self._batch_results(reqs, plans, executed)
-        batch_report = ExecutionReport(
-            backend=self.backend.name,
-            kind=KIND_BATCH,
-            variant=KIND_BATCH,
-            structure=KIND_BATCH,
-            reads=delta.reads,
-            writes=delta.writes,
-            result_size=total_k,
-            predicted_io=predicted,
-        )
-        self.requests_served += len(reqs)
-        self._attributed += batch_report.blocks
-        self._san_post(batch_report)
-        return results, batch_report
 
     def _batch_results(
         self,
@@ -365,7 +320,20 @@ class SkylineEngine:
     def query_batch_shared(
         self, requests: Sequence[QueryLike]
     ) -> Tuple[List[QueryResult], ExecutionReport]:
-        """:meth:`query_batch` for snapshot-concurrent callers.
+        """Execute a batch of reads as one backend call; safe for
+        snapshot-concurrent callers.
+
+        Unlike :meth:`query_many`, the whole batch runs through the
+        backend's *native* batch executor, so per-shard worklist grouping
+        and in-batch duplicate coalescing apply.  The trade-off is
+        attribution granularity: a batch's ledger delta cannot be split
+        per request, so each per-request report carries its trace flags
+        with zero blocks and the returned *batch report* carries the
+        blocks -- counted once in :meth:`attributed_io`, so the
+        accounting identity still holds.  Pagination (``limit``/
+        ``cursor``) applies per request as usual.  A batch runs
+        cache-bypassing iff any request asks for
+        ``consistency="fresh"``.
 
         Any number of overlapping calls may execute concurrently,
         provided no write runs beside them -- the serving tier's
@@ -375,13 +343,12 @@ class SkylineEngine:
         call that closes it (readers back to 0) attributes the whole
         group's ledger delta to its own batch report and re-checks the
         partition identity; calls in between return a zero-block batch
-        report.  That is the per-request discipline :meth:`query_batch`
-        already applies *within* one batch, lifted to overlapping
-        batches: the group delta is race-free because every reader only
-        decrements after its execution returned, so the closer's
-        snapshot has seen all of the group's charges.  With no overlap
-        every call is both opener and closer and the behaviour matches
-        :meth:`query_batch` block for block.
+        report.  That is the per-request discipline of one batch, lifted
+        to overlapping batches: the group delta is race-free because
+        every reader only decrements after its execution returned, so
+        the closer's snapshot has seen all of the group's charges.  With
+        no overlap every call is both opener and closer, and its batch
+        report carries exactly its own ledger delta.
 
         A failing call just leaves the group; its ledger traffic is
         absorbed as external by the next :meth:`_san_pre`, the same
@@ -516,6 +483,17 @@ class SkylineEngine:
             "backend": self.backend.describe(),
         }
 
+    def _maintain(self, operation: Callable[[], _T]) -> _T:
+        """Run one maintenance call and charge its ledger delta to
+        :meth:`maintenance_io` -- real transfers, but no request's -- so
+        the accounting identity keeps holding."""
+        self._san_pre()
+        before = self.backend.snapshot()
+        result = operation()
+        self._maintenance += (self.backend.snapshot() - before).total
+        self._san_settle()
+        return result
+
     def drop_caches(self) -> None:
         """Empty every buffer pool (cold-cache measurements charge the
         paper's worst-case cost on the next request).
@@ -523,11 +501,7 @@ class SkylineEngine:
         Evicting dirty frames flushes them -- those writes are charged to
         :meth:`maintenance_io`, keeping the accounting identity exact.
         """
-        self._san_pre()
-        before = self.backend.snapshot()
-        self.backend.drop_caches()
-        self._maintenance += (self.backend.snapshot() - before).total
-        self._san_settle()
+        self._maintain(self.backend.drop_caches)
 
     def compact(self) -> None:
         """Fold pending writes into the static structures now (a no-op on
@@ -538,11 +512,7 @@ class SkylineEngine:
         the rebuild cost lands in :meth:`maintenance_io`, so the
         accounting identity keeps holding.
         """
-        self._san_pre()
-        before = self.backend.snapshot()
-        self.backend.compact()
-        self._maintenance += (self.backend.snapshot() - before).total
-        self._san_settle()
+        self._maintain(self.backend.compact)
 
     def drain(self, sid: Optional[int] = None) -> Dict[str, int]:
         """Pay all outstanding incremental merge debt now (a no-op on
@@ -556,12 +526,7 @@ class SkylineEngine:
         drained (per-shard towers make a single shard's maintenance an
         independently payable unit); its neighbours' debt is untouched.
         """
-        self._san_pre()
-        before = self.backend.snapshot()
-        counters = self.backend.drain(sid)
-        self._maintenance += (self.backend.snapshot() - before).total
-        self._san_settle()
-        return counters
+        return self._maintain(lambda: self.backend.drain(sid))
 
     def split_shard(self, sid: int, cut: Optional[float] = None) -> Optional[float]:
         """Split shard ``sid`` of a sharded backend (see
@@ -574,36 +539,21 @@ class SkylineEngine:
         *adaptive* split inside :meth:`update` need no special handling
         -- their reports already split out the maintenance delta.
         """
-        self._san_pre()
-        before = self.backend.snapshot()
-        cut = self.backend.split_shard(sid, cut)
-        self._maintenance += (self.backend.snapshot() - before).total
-        self._san_settle()
-        return cut
+        return self._maintain(lambda: self.backend.split_shard(sid, cut))
 
     def merge_shards(self, sid: int) -> Optional[float]:
         """Merge shards ``sid`` and ``sid + 1`` of a sharded backend (see
         :meth:`repro.service.SkylineService.merge_shards`); a no-op
         returning ``None`` on the monolithic backend.  Charged like
         :meth:`split_shard`."""
-        self._san_pre()
-        before = self.backend.snapshot()
-        cut = self.backend.merge_shards(sid)
-        self._maintenance += (self.backend.snapshot() - before).total
-        self._san_settle()
-        return cut
+        return self._maintain(lambda: self.backend.merge_shards(sid))
 
     def fold_shard(self, sid: int) -> int:
         """Fold shard ``sid`` of a sharded backend in place (see
         :meth:`repro.service.SkylineService.fold_shard`); a no-op
         returning 0 on the monolithic backend.  Charged like
         :meth:`split_shard`."""
-        self._san_pre()
-        before = self.backend.snapshot()
-        touched = self.backend.fold_shard(sid)
-        self._maintenance += (self.backend.snapshot() - before).total
-        self._san_settle()
-        return touched
+        return self._maintain(lambda: self.backend.fold_shard(sid))
 
     def close(self) -> int:
         """Shut the backend down cleanly (WAL flush on a durable service).
@@ -611,9 +561,4 @@ class SkylineEngine:
         The flush's ledger charge lands in :meth:`maintenance_io`, so the
         accounting identity still holds after shutdown.
         """
-        self._san_pre()
-        before = self.backend.snapshot()
-        flushed = self.backend.close()
-        self._maintenance += (self.backend.snapshot() - before).total
-        self._san_settle()
-        return flushed
+        return self._maintain(self.backend.close)

@@ -14,6 +14,7 @@ they can be logged, hashed, retried and replayed verbatim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -59,6 +60,8 @@ class QueryRequest:
     def __post_init__(self) -> None:
         if self.limit is not None and self.limit < 1:
             raise ValueError(f"limit must be >= 1, got {self.limit}")
+        if self.cursor is not None and math.isnan(self.cursor):
+            raise ValueError("cursor must not be NaN")
         if self.consistency not in CONSISTENCY_LEVELS:
             raise ValueError(
                 f"consistency must be one of {CONSISTENCY_LEVELS}, "
@@ -76,7 +79,8 @@ class UpdateRequest:
     """One write: insert a point, or delete a live point by coordinates.
 
     Deletes follow the one-victim semantics of the whole stack: among
-    coordinate twins a point whose ``ident`` matches is preferred.
+    coordinate twins a point whose ``ident`` matches is preferred.  An
+    insert's coordinates must be finite.
     """
 
     op: str
@@ -87,6 +91,10 @@ class UpdateRequest:
             raise ValueError(
                 f"op must be {OP_INSERT!r} or {OP_DELETE!r}, got {self.op!r}"
             )
+        if self.op == OP_INSERT and not (
+            math.isfinite(self.point.x) and math.isfinite(self.point.y)
+        ):
+            raise ValueError(f"insert coordinates must be finite, got {self.point}")
 
     @classmethod
     def insert(cls, point: Point) -> "UpdateRequest":

@@ -38,7 +38,7 @@ from repro.serve.report import (
     ServingReport,
 )
 from repro.serve.server import ServerSubscription, SkylineServer
-from repro.serve.workers import ShardWorkerPool, install_worker_pool
+from repro.serve.workers import ShardWorkerPool
 
 __all__ = [
     "BACKPRESSURE_POLICIES",
@@ -57,6 +57,5 @@ __all__ = [
     "ServingReport",
     "ShardWorkerPool",
     "SkylineServer",
-    "install_worker_pool",
     "percentile",
 ]

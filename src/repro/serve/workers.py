@@ -1,29 +1,28 @@
 """Persistent per-shard workers keyed by shard *uid*.
 
-The service's native batch executor (:func:`repro.service.batch
-.execute_worklists`) spins up a transient thread pool per call and keys
-worklists by shard *position*.  A serving runtime executes batches
-continuously, so this pool keeps one long-lived worker thread per shard
-**uid** -- the stable identity that survives topology changes -- and
-installs itself as the service's pluggable ``batch_executor``.  Between
-batches the workers stay warm (thread, per-worker counters, and the
-shard machine's buffer pool they repeatedly drive); across an online
-split or merge only the rewritten shards' workers are retired and the
-children's created, exactly mirroring how the result cache scopes
-invalidation to rewritten uids.  This is the ROADMAP's topology-aware
-batch executor: worklists keyed by uid, so splits/merges between batches
-never cold-start the untouched shards.
+The service's default batch executor (:func:`repro.service.batch
+.execute_worklists`) runs every worklist on the calling thread.  A
+serving runtime executes batches continuously, and several at once, so
+this pool keeps one long-lived worker thread per shard **uid** -- the
+stable identity that survives topology changes -- and installs itself as
+the service's pluggable ``batch_executor``.  Between batches the workers
+stay warm (thread, per-worker counters, and the shard machine's buffer
+pool they repeatedly drive); across an online split or merge only the
+rewritten shards' workers are retired and the children's created,
+exactly mirroring how the result cache scopes invalidation to rewritten
+uids.
 
-Accounting stays exact for the same reason the transient pool's did:
-each worklist runs on exactly one worker, each shard machine charges a
-private ledger, and nothing is shared between workers.
+Accounting stays exact because each worklist runs on exactly one worker,
+each shard machine charges a private ledger, and nothing is shared
+between workers: the pool charges bit-identical totals to the inline
+executor, and concurrent read batches never race a shard's counter.
 """
 
 from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.analysis import sanitize as _sanitize
 from repro.analysis.locks import tracked_condition, tracked_lock
@@ -32,10 +31,9 @@ from repro.service.batch import ShardAnswer, ShardQueryFn, WorkItem
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.service import SkylineService
 
-# One dispatched unit: ("query", (sid, worklist, shard_query), future) for
-# a read batch, or ("call", zero-arg callable, future) for one shard's
-# maintenance step (a per-shard tower drain).
-_Task = Tuple[str, object, "Future"]
+# One dispatched unit: one shard's worklist of a read batch, the function
+# that answers it, and the future the answers land on.
+_Task = Tuple[int, List[WorkItem], ShardQueryFn, "Future"]
 
 
 class _ShardWorker:
@@ -70,20 +68,16 @@ class _ShardWorker:
                     self._available.wait()
                 if self._stopped and not self._tasks:
                     return
-                kind, payload, future = self._tasks.pop(0)
+                sid, items, shard_query, future = self._tasks.pop(0)
             try:
-                if kind == "query":
-                    sid, items, shard_query = payload  # type: ignore[misc]
-                    result: object = [
-                        ((position, sid), shard_query(sid, query))
-                        for position, query in items
-                    ]
-                    self.items += len(items)
-                else:  # "call": one maintenance step
-                    result = payload()  # type: ignore[operator]
+                result = [
+                    ((position, sid), shard_query(sid, query))
+                    for position, query in items
+                ]
             except BaseException as exc:  # surfaced on the batch future
                 future.set_exception(exc)
                 continue
+            self.items += len(items)
             self.batches += 1
             future.set_result(result)
 
@@ -92,10 +86,9 @@ class ShardWorkerPool:
     """A uid-keyed pool of persistent shard workers.
 
     Instances are callables with the executor signature
-    ``(worklists, shard_query, parallelism) -> {(position, sid): answer}``
-    expected by :attr:`repro.service.SkylineService.batch_executor`.  The
-    configured ``parallelism`` is ignored: the pool *is* the fan-out, one
-    dedicated worker per live shard.
+    ``(worklists, shard_query) -> {(position, sid): answer}`` expected by
+    :attr:`repro.service.SkylineService.batch_executor`: the pool *is*
+    the fan-out, one dedicated worker per live shard.
     """
 
     def __init__(self, service: "SkylineService") -> None:
@@ -139,8 +132,13 @@ class ShardWorkerPool:
         self,
         worklists: Dict[int, List[WorkItem]],
         shard_query: ShardQueryFn,
-        parallelism: int = 1,
     ) -> Dict[Tuple[int, int], ShardAnswer]:
+        """Run each worklist on its shard's worker; returns the answers.
+
+        Waits for every worklist before it returns or re-raises the first
+        failure (in shard order): once the call is over, no worker still
+        reads a shard for this batch.
+        """
         # Batch entry is a declared handoff point: shard ledgers last
         # charged by the caller (build, compaction) may now be charged by
         # the uid-bound workers.
@@ -151,49 +149,19 @@ class ShardWorkerPool:
             future: Future = Future()
             # repro: calls(_ShardWorker.submit)
             self.workers[uid_of_sid[sid]].submit(
-                ("query", (sid, worklists[sid], shard_query), future)
+                (sid, worklists[sid], shard_query, future)
             )
             futures.append(future)
+        # exception() blocks until its worklist is done, failed or not.
+        errors = [future.exception() for future in futures]
+        # And batch exit hands the ledgers back to the caller.
+        _sanitize.sync_point()
+        for error in errors:
+            if error is not None:
+                raise error
         results: Dict[Tuple[int, int], ShardAnswer] = {}
         for future in futures:
             results.update(future.result())
-        # And batch exit hands the ledgers back to the caller.
-        _sanitize.sync_point()
-        return results
-
-    # ------------------------------------------------------------------
-    # Maintenance execution (the service's run_maintenance hook)
-    # ------------------------------------------------------------------
-    def run_maintenance(self, steps: Dict[int, object]) -> Dict[int, object]:
-        """Run one zero-arg maintenance callable per shard *uid* on that
-        shard's dedicated worker, in parallel; returns uid -> result.
-
-        Per-shard towers make this sound: each step drains one shard's
-        private tower and charges only tower-private ledgers, so
-        concurrent steps never touch the same counter and the totals are
-        bit-identical to a serial drain -- the same isolation argument
-        the query path proves.  Entry and exit are declared handoff
-        points, mirroring :meth:`__call__`.
-        """
-        _sanitize.sync_point()
-        self.sync()
-        futures: Dict[int, Future] = {}
-        for uid in sorted(steps):
-            future: Future = Future()
-            worker = self.workers.get(uid)
-            if worker is None:
-                # A uid the live topology no longer lists (the caller
-                # raced a topology change): run the step inline.
-                try:
-                    future.set_result(steps[uid]())  # type: ignore[operator]
-                except BaseException as exc:
-                    future.set_exception(exc)
-            else:
-                # repro: calls(_ShardWorker.submit)
-                worker.submit(("call", steps[uid], future))
-            futures[uid] = future
-        results = {uid: future.result() for uid, future in futures.items()}
-        _sanitize.sync_point()
         return results
 
     # ------------------------------------------------------------------
@@ -214,13 +182,3 @@ class ShardWorkerPool:
                 for uid, w in sorted(self.workers.items())
             },
         }
-
-
-def install_worker_pool(service: "SkylineService") -> Optional[ShardWorkerPool]:
-    """Attach a pool as ``service.batch_executor``; returns it (or None if
-    one of this type is already installed)."""
-    if isinstance(service.batch_executor, ShardWorkerPool):
-        return None
-    pool = ShardWorkerPool(service)
-    service.batch_executor = pool
-    return pool

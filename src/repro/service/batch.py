@@ -1,26 +1,23 @@
-"""Batch execution: per-shard worklists, locality ordering, thread fan-out.
+"""Batch execution: per-shard worklists in locality order.
 
 ``query_many`` work is regrouped from *per-query* to *per-shard*: every
 (query, shard) pair the router produces is appended to the owning shard's
 worklist, each worklist is sorted by (variant, x_lo, y_lo) so consecutive
 sub-queries walk nearby root-to-leaf paths of the same structure and reuse
-warm buffer-pool frames, and then the worklists execute -- sequentially by
-default, or one worker thread per shard when the service is configured with
-``parallelism > 1``.  Parallelising across shards (never within one) means
-no two threads ever touch the same simulated machine: each shard owns its
-buffer pool *and* its private :class:`~repro.em.counters.IOStats` ledger,
-so nothing is shared between workers and no locking is needed.  I/O
-accounting is exact at every parallelism level -- ``query_many`` charges
-bit-identical totals whether the worklists run serially or fanned out
-(asserted by ``tests/test_service.py``).
+warm buffer-pool frames, and then the worklists execute.  The default
+executor, :func:`execute_worklists`, runs them one after another on the
+calling thread; the serving tier installs its persistent uid-keyed
+:class:`~repro.serve.workers.ShardWorkerPool` instead, which runs each
+worklist on its shard's dedicated worker.  Either way each shard's
+worklist runs on exactly one thread, and each shard owns its buffer pool
+*and* its private :class:`~repro.em.counters.IOStats` ledger, so the two
+executors charge bit-identical totals (asserted by ``tests/test_serve.py``).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.analysis import sanitize as _sanitize
 from repro.core.point import Point
 from repro.core.queries import RangeQuery, classify
 
@@ -36,7 +33,7 @@ ShardQueryFn = Callable[[int, RangeQuery], ShardAnswer]
 # anything with execute_worklists' signature can run the per-shard fan-out,
 # e.g. the serving tier's persistent uid-keyed worker pool.
 BatchExecutor = Callable[
-    [Dict[int, List[WorkItem]], ShardQueryFn, int],
+    [Dict[int, List[WorkItem]], ShardQueryFn],
     Dict[Tuple[int, int], ShardAnswer],
 ]
 
@@ -63,33 +60,11 @@ def build_worklists(
 def execute_worklists(
     worklists: Dict[int, List[WorkItem]],
     shard_query: ShardQueryFn,
-    parallelism: int = 1,
 ) -> Dict[Tuple[int, int], ShardAnswer]:
-    """Run every worklist; returns ``(query position, sid) -> local answer``.
-
-    With ``parallelism > 1`` shards are fanned out across a thread pool,
-    one worker per shard at most.
-    """
-    results: Dict[Tuple[int, int], ShardAnswer] = {}
-
-    def run_shard(sid: int) -> List[Tuple[Tuple[int, int], ShardAnswer]]:
-        return [
-            ((position, sid), shard_query(sid, query))
-            for position, query in worklists[sid]
-        ]
-
-    shard_ids = sorted(worklists)
-    workers = min(parallelism, len(shard_ids))
-    if workers <= 1:
-        for sid in shard_ids:
-            results.update(run_shard(sid))
-        return results
-    # Dispatch and join are declared handoff points: each shard's private
-    # ledger moves to exactly one pool worker for the duration of the
-    # fan-out and back to the caller afterwards.
-    _sanitize.sync_point()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for shard_results in pool.map(run_shard, shard_ids):
-            results.update(shard_results)
-    _sanitize.sync_point()
-    return results
+    """Run every worklist on the calling thread, shard by shard; returns
+    ``(query position, sid) -> local answer``."""
+    return {
+        (position, sid): shard_query(sid, query)
+        for sid in sorted(worklists)
+        for position, query in worklists[sid]
+    }

@@ -83,11 +83,6 @@ class ServiceConfig:
     cache_capacity:
         Maximum number of query results kept in the LRU result cache
         (0 disables caching).
-    parallelism:
-        Worker threads for batch execution; 1 executes shard worklists
-        sequentially.  I/O accounting is exact at every level: each shard
-        machine charges a private ledger, so fan-out never races a counter
-        and parallel batches report bit-identical totals to serial runs.
     auto_compact:
         Whether writes seal the memtable once it holds
         ``delta_threshold`` pending inserts, and pay a major compaction
@@ -138,7 +133,6 @@ class ServiceConfig:
     fold_pressure_factor: float = 0.25
     topology_check_every: int = 16
     cache_capacity: int = 256
-    parallelism: int = 1
     auto_compact: bool = True
     durability: bool = False
     wal_group_commit: int = 8
@@ -182,8 +176,6 @@ class ServiceConfig:
             raise ValueError(
                 f"cache_capacity must be >= 0, got {self.cache_capacity}"
             )
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
         if self.wal_group_commit < 1:
             raise ValueError(
                 f"wal_group_commit must be >= 1, got {self.wal_group_commit}"

@@ -30,10 +30,9 @@ memtable, the *visited shards'* towers and the base shards, folded by
 the generalised right-to-left running-max-y merge
 (:func:`~repro.service.merge.merge_component_skylines`).
 :meth:`SkylineService.drain` pays all outstanding merge debt at once
-(per shard, or across every tower -- in parallel when a maintenance-
-capable batch executor is installed), and :meth:`SkylineService.compact`
-remains the explicit *major* compaction that folds everything back into
-rebuilt, size-rebalanced base shards.
+(per shard, or tower by tower across every shard), and
+:meth:`SkylineService.compact` remains the explicit *major* compaction
+that folds everything back into rebuilt, size-rebalanced base shards.
 
 Topology
 --------
@@ -68,13 +67,14 @@ merges, the *maintenance ledgers* -- one service-level plus one per
 tower, aggregated by :attr:`SkylineService.maintenance` -- that
 incremental merge work is charged to, and the durability store's ledger
 when durability is on; components shared between sibling towers are
-summed exactly once).  Nothing is
-ever shared between batch workers, so ``parallelism > 1`` charges
-bit-identical totals to a serial run -- for maintenance steps run per
-shard in parallel exactly as for queries.  When a tombstone forces a shard or
-level to recompute its local skyline from resident points, that scan is
-charged as ``ceil(resident / B)`` block reads on the component's ledger
--- the fallback is never free, so comparisons stay honest under deletes.
+summed exactly once).  Each shard's worklist runs on exactly one
+thread -- the caller's, or its dedicated worker when the serving tier's
+:class:`~repro.serve.workers.ShardWorkerPool` is installed -- so the
+pool charges bit-identical totals to the inline executor.  When a
+tombstone forces a shard or level to recompute its local skyline from
+resident points, that scan is charged as ``ceil(resident / B)`` block
+reads on the component's ledger -- the fallback is never free, so
+comparisons stay honest under deletes.
 Incremental merge work is escrowed: a merge's output is staged on a
 private ledger and its exact cost is mirrored onto the maintenance ledger
 in bounded steps, so ``attributed + maintenance == total - build`` holds
@@ -146,7 +146,8 @@ from repro.service.topology import TopologyManager
 
 @dataclasses.dataclass(frozen=True)
 class QueryExecutionTrace:
-    """How one query of a batch was served (``SkylineService.last_traces``).
+    """How one query of a batch was served
+    (:meth:`SkylineService.query_many_traced`).
 
     ``shard_ids`` are the shards the router selected (the rest were
     pruned); ``cache_hit`` means the result came straight from the result
@@ -201,18 +202,12 @@ class SkylineService:
         self._retired = IOStats()
         # Service-level maintenance ledger: topology-change escrow charges
         # land here.  Incremental merge work is charged to the *towers'*
-        # private maintenance ledgers (one per shard, so parallel
-        # maintenance never races a counter); ``self.maintenance``
-        # aggregates them all and absorbs a disposed tower's ledger here,
-        # keeping the maintenance total monotone.
+        # private maintenance ledgers (one per shard);
+        # ``self.maintenance`` aggregates them all and absorbs a disposed
+        # tower's ledger here, keeping the maintenance total monotone.
         self._maintenance = IOStats()
         self.maintenance = IOStatsGroup([self._maintenance])
         self.stats = IOStatsGroup([self._retired, self._maintenance])
-        # True while a parallel drain runs maintenance steps on worker
-        # threads: layout changes then skip the member refresh (it walks
-        # every tower's level tables, which the workers are mutating) and
-        # one main-thread refresh settles the aggregate afterwards.
-        self._suspend_refresh = False
         self.delta = DeltaBuffer()
         self.cache = ResultCache(self.config.cache_capacity)
         self.compactions = 0
@@ -232,8 +227,6 @@ class SkylineService:
         self._replaying = False
         # Set by `open` with the block-transfer cost of the last recovery.
         self.recovery: Optional[Dict[str, int]] = None
-        # Per-query traces of the most recent query_many call.
-        self.last_traces: List[QueryExecutionTrace] = []
         # Overlay lock: the one mutable-state lock of the read path.
         # Snapshot-concurrent read batches (the serving tier's read gate)
         # run query_many_traced on several threads at once; everything
@@ -245,9 +238,9 @@ class SkylineService:
         # worker pool pins each shard uid to one worker thread.
         self._overlay = tracked_lock("service.overlay")
         # Pluggable batch executor with the execute_worklists signature
-        # ``(worklists, shard_query, parallelism) -> {(position, sid): answer}``.
-        # None = the default transient thread pool.  The serving tier
-        # installs a persistent uid-keyed worker pool here.
+        # ``(worklists, shard_query) -> {(position, sid): answer}``.
+        # None = execute_worklists, inline on the calling thread.  The
+        # serving tier installs its persistent uid-keyed worker pool here.
         self.batch_executor: Optional[BatchExecutor] = None
         self.router: ShardRouter
         self.shards: List[Shard] = []
@@ -503,8 +496,6 @@ class SkylineService:
         maintenance/retired pair and visible components (shared inherited
         components deduplicated by identity, so they are summed exactly
         once), and the durability store."""
-        if self._suspend_refresh:
-            return
         members = [self._retired, self._maintenance]
         maint_members = [self._maintenance]
         seen: set = set()
@@ -584,9 +575,8 @@ class SkylineService:
         generations, the logarithmic-method accounting).
 
         The shard also gets its private level tower, scoped to its
-        x-range, with its own maintenance/retired ledger pair (so
-        per-shard maintenance can run on parallel workers without racing
-        a counter).
+        x-range, with its own maintenance/retired ledger pair (so one
+        shard's maintenance is an independently payable unit).
         """
         self._next_uid += 1
         shard = Shard(
@@ -751,12 +741,6 @@ class SkylineService:
         :meth:`open` restores exactly; a per-shard drain is WAL-logged
         too (replay must reproduce the exact tower states) but is not a
         snapshot anchor.
-
-        When the installed batch executor can run per-shard maintenance
-        (the serving tier's :class:`~repro.serve.workers.ShardWorkerPool`),
-        a full drain pays each tower's debt on that shard's dedicated
-        worker in parallel -- every charge lands on tower-private
-        ledgers, so the totals are bit-identical to a serial drain.
         """
         if sid is not None and not 0 <= sid < len(self.shards):
             raise ValueError(f"no shard {sid}: {len(self.shards)} shards")
@@ -764,28 +748,7 @@ class SkylineService:
         if self.wal is not None and not self._replaying:
             checkpoint = self.wal.log_drain(sid)
         if sid is None:
-            towers = self.towers()
-            runner = getattr(self.batch_executor, "run_maintenance", None)
-            if runner is not None and len(towers) > 1:
-                # Worker-side merge completions would race the member
-                # refresh (it walks every tower's layout); suspend it and
-                # settle the aggregate once, on this thread, afterwards.
-                self._suspend_refresh = True
-                try:
-                    # repro: calls(ShardWorkerPool.run_maintenance)
-                    charges = runner(
-                        {
-                            shard.uid: shard.tower.drain
-                            for shard in self.shards
-                            if shard.tower is not None
-                        }
-                    )
-                finally:
-                    self._suspend_refresh = False
-                charged = sum(charges.values())
-                self._refresh_members()
-            else:
-                charged = sum(tower.drain() for tower in towers)
+            charged = sum(tower.drain() for tower in self.towers())
             self.drains += 1
             if (
                 checkpoint is not None
@@ -1254,26 +1217,19 @@ class SkylineService:
         Cache hits are served immediately and duplicate queries within the
         batch are coalesced (computed once, copied to every occurrence);
         the remaining misses are regrouped into per-shard worklists
-        (sorted by variant and x for buffer-pool locality), executed --
-        across a thread pool when the service is configured with
-        ``parallelism > 1`` -- and merged per query with the level
+        (sorted by variant and x for buffer-pool locality), executed by
+        :attr:`batch_executor`, and merged per query with the level
         components and the pending memtable.
-
-        After the call, :attr:`last_traces` holds one
-        :class:`QueryExecutionTrace` per query (routing, cache hit,
-        coalescing, tombstone fallback), aligned with the results.
-        ``last_traces`` makes this entry point single-caller; concurrent
-        callers (the engine's snapshot-concurrent batch path) use
-        :meth:`query_many_traced`, which returns the traces instead.
+        :meth:`query_many_traced` also returns how each query was served.
         """
-        results, traces = self.query_many_traced(queries, use_cache)
-        self.last_traces = traces
-        return results
+        return self.query_many_traced(queries, use_cache)[0]
 
     def query_many_traced(
         self, queries: Sequence[RangeQuery], use_cache: bool = True
     ) -> Tuple[List[List[Point]], List[QueryExecutionTrace]]:
-        """:meth:`query_many`, returning ``(results, traces)`` directly.
+        """:meth:`query_many`, returning ``(results, traces)``: one
+        :class:`QueryExecutionTrace` per query (routing, cache hit,
+        coalescing, tombstone fallback), aligned with the results.
 
         Safe for concurrent read-only callers (no writer may run beside
         them -- the serving tier's read/write gate guarantees that):
@@ -1321,9 +1277,7 @@ class SkylineService:
             executor = self.batch_executor or execute_worklists
             # repro: calls(ShardWorkerPool.__call__)
             # repro: calls(execute_worklists)
-            local = executor(
-                worklists, self._shard_query, self.config.parallelism
-            )
+            local = executor(worklists, self._shard_query)
             for position, query in misses:
                 key, shard_ids = plan[position]
                 merged = merge_shard_skylines(
@@ -1396,8 +1350,8 @@ class SkylineService:
         resurface), so the local skyline is recomputed from the shard's
         resident points -- a scan charged as ``ceil(resident / B)`` block
         reads on the shard's own ledger (the fallback is not free, and
-        charging the shard keeps parallel totals exact); otherwise the
-        static structure answers at full I/O efficiency.  Returns the
+        charging the shard keeps the worker pool's totals exact);
+        otherwise the static structure answers at full I/O efficiency.  Returns the
         answer plus whether the fallback fired (surfaced in the batch's
         :class:`QueryExecutionTrace`).
         """
@@ -1504,14 +1458,16 @@ class SkylineService:
         immediately).
 
         The general-position assumption every structure of the paper makes
-        is enforced here, at the write boundary: a coordinate colliding
-        with a live point raises immediately instead of corrupting a later
-        merge or rebuild.  On a durable service the accepted insert is
-        appended to the WAL before it is applied.  The insert also pays
-        at most ``merge_step_blocks`` transfers of piggybacked merge debt
-        and, when the memtable fills, seals it -- bounded work, never an
-        ``O(n/B)`` rebuild.
+        is enforced here, at the write boundary: a non-finite coordinate,
+        or one colliding with a live point, raises immediately instead of
+        corrupting a later merge or rebuild.  On a durable service the
+        accepted insert is appended to the WAL before it is applied.  The
+        insert also pays at most ``merge_step_blocks`` transfers of
+        piggybacked merge debt and, when the memtable fills, seals it --
+        bounded work, never an ``O(n/B)`` rebuild.
         """
+        if not (math.isfinite(point.x) and math.isfinite(point.y)):
+            raise ValueError(f"insert coordinates must be finite, got {point}")
         if point.x in self._live_xs or point.y in self._live_ys:
             raise ValueError(
                 f"coordinate collision with a live point: {point}; the service "

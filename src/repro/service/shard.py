@@ -4,11 +4,12 @@ Each shard owns the points whose x-coordinates fall in its half-open range
 ``[x_lo, x_hi)`` and answers queries with a private
 :class:`repro.RangeSkylineIndex` built over a private
 :class:`repro.em.StorageManager`.  Every shard machine also owns a *private*
-:class:`repro.em.counters.IOStats` ledger: concurrent batch workers then
-never touch the same counter, so ``parallelism > 1`` cannot drop
-increments.  The service-wide I/O total is the sum over the per-shard
-ledgers (see :class:`repro.em.counters.IOStatsGroup`) -- the same quantity
-the monolithic index reports, which keeps the benchmark comparison honest.
+:class:`repro.em.counters.IOStats` ledger: the serving tier's worker pool
+pins each shard to one worker thread, so concurrent read batches never
+touch the same counter and cannot drop increments.  The service-wide I/O
+total is the sum over the per-shard ledgers (see
+:class:`repro.em.counters.IOStatsGroup`) -- the same quantity the
+monolithic index reports, which keeps the benchmark comparison honest.
 
 Identity vs position
 --------------------

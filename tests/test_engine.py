@@ -294,38 +294,30 @@ def test_leveled_updates_charge_bounded_maintenance_not_rebuilds():
 def test_query_batch_native_executor_results_and_accounting():
     points = make_points(250)
     rects = list(VARIANT_QUERIES.values()) + list(VARIANT_QUERIES.values())[:3]
-    for parallelism in (1, 4):
-        local, sharded = make_engines(points, parallelism=parallelism)
-        for engine in (local, sharded):
-            expected = [canon(engine.query(QueryRequest(r, consistency="fresh")).points) for r in rects]
-            before = engine.io_total()
-            results, batch_report = engine.query_batch(
-                [QueryRequest(r, consistency="fresh") for r in rects]
-            )
-            assert [canon(r.points) for r in results] == expected
-            # The batch report carries the whole call's exact ledger delta;
-            # per-request reports in batch mode carry traces, not blocks.
-            assert batch_report.blocks == engine.io_total() - before
-            assert batch_report.kind == "batch"
-            assert all(r.report.blocks == 0 for r in results)
-            assert (
-                engine.attributed_io() + engine.maintenance_io()
-                == engine.io_total() - engine.build_io
-            )
-    # Parallel and serial sharded batches charge bit-identical totals.
-    eng_serial = make_engines(points, parallelism=1)[1]
-    eng_par = make_engines(points, parallelism=4)[1]
-    fresh = [QueryRequest(r, consistency="fresh") for r in rects]
-    _, serial_report = eng_serial.query_batch(fresh)
-    _, par_report = eng_par.query_batch(fresh)
-    assert serial_report.blocks == par_report.blocks
+    local, sharded = make_engines(points)
+    for engine in (local, sharded):
+        expected = [canon(engine.query(QueryRequest(r, consistency="fresh")).points) for r in rects]
+        before = engine.io_total()
+        results, batch_report = engine.query_batch_shared(
+            [QueryRequest(r, consistency="fresh") for r in rects]
+        )
+        assert [canon(r.points) for r in results] == expected
+        # The batch report carries the whole call's exact ledger delta;
+        # per-request reports in batch mode carry traces, not blocks.
+        assert batch_report.blocks == engine.io_total() - before
+        assert batch_report.kind == "batch"
+        assert all(r.report.blocks == 0 for r in results)
+        assert (
+            engine.attributed_io() + engine.maintenance_io()
+            == engine.io_total() - engine.build_io
+        )
 
 
 def test_query_batch_coalesces_duplicates_on_the_service():
     points = make_points(200)
     _, sharded = make_engines(points)
     rect = TopOpenQuery(500, 8_000, 100)
-    results, _ = sharded.query_batch(
+    results, _ = sharded.query_batch_shared(
         [QueryRequest(rect, consistency="fresh")] * 4
     )
     service = sharded.backend.service
@@ -430,6 +422,42 @@ def test_request_validation():
         QueryRequest(RangeQuery(), consistency="eventual")
     with pytest.raises(ValueError):
         UpdateRequest("upsert", Point(1, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    side=st.integers(0, 3),
+    lo=st.floats(min_value=-1e6, max_value=1e6),
+    span=st.floats(min_value=0.0, max_value=1e6),
+)
+def test_non_finite_inputs_are_rejected_before_any_io(bad, side, lo, span):
+    engine = SkylineEngine.sharded(
+        make_points(60), shard_count=2, block_size=8, durability=True
+    )
+    service = engine.backend.service
+
+    def footprint():
+        return engine.io_total(), service.wal.durable_count + service.wal.pending
+
+    before = footprint()
+    sides = [lo, lo + span, lo, lo + span]
+    sides[side] = math.nan
+    with pytest.raises(ValueError):
+        engine.query(QueryRequest(RangeQuery(*sides)))
+    with pytest.raises(ValueError):
+        engine.query(QueryRequest(RangeQuery(), cursor=math.nan))
+    coords = [lo + 0.5, lo + 0.25]
+    coords[side % 2] = bad
+    with pytest.raises(ValueError):
+        engine.update(UpdateRequest.insert(Point(*coords)))
+    # Twice: NaN never matches the live-coordinate sets, so without the
+    # check a second NaN point would pass the general-position test too.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            service.insert(Point(*coords))
+    assert footprint() == before
+    assert len(engine) == 60
 
 
 # ----------------------------------------------------------------------

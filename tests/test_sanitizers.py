@@ -206,7 +206,7 @@ def test_backend_traffic_outside_the_engine_is_external(sanitizer_state) -> None
     # Drive the backend directly, bypassing the engine: legitimate in
     # mixed-layer tests, and must not be blamed on any report.
     engine.backend.drop_caches()
-    engine.backend.execute(TopOpenQuery(0, 7, 0), "fresh")
+    engine.backend.execute_many([TopOpenQuery(0, 7, 0)], "fresh")
     result = engine.query(TopOpenQuery(0, 7, 0))  # must not raise
     assert result.report.blocks >= 0
     assert engine._external_io > 0

@@ -18,7 +18,8 @@ The acceptance properties:
   :class:`ServerClosed`.
 * **Worker pool** -- the uid-keyed pool tracks topology changes
   (retire/create only the rewritten shards) and executes batches
-  block-identically to the default transient executor.
+  block-identically to the default inline executor, and waits for every
+  worklist before re-raising a failure.
 * **Auto-reclaim** -- ``ServiceConfig(reclaim_every_topology_ops=N)``
   interleaves durable-store reclamation with every Nth topology
   operation.
@@ -29,6 +30,7 @@ from __future__ import annotations
 import asyncio
 import random
 import threading
+import time
 
 import pytest
 
@@ -42,7 +44,6 @@ from repro.serve import (
     ServerConfig,
     ShardWorkerPool,
     SkylineServer,
-    install_worker_pool,
 )
 from repro.serve.metrics import percentile
 from repro.service import ServiceConfig, SkylineService
@@ -313,9 +314,7 @@ def test_async_clients_share_the_server():
 def test_worker_pool_tracks_topology_by_uid():
     base = uniform_points(512, universe=1_000_000, seed=21)
     service = SkylineService(base, ServiceConfig(**CFG))
-    pool = install_worker_pool(service)
-    assert isinstance(pool, ShardWorkerPool)
-    assert install_worker_pool(service) is None  # already installed
+    service.batch_executor = pool = ShardWorkerPool(service)
     pool.sync()
     before = {shard.uid for shard in service.shards}
     assert set(pool.workers) == before
@@ -339,13 +338,57 @@ def test_worker_pool_charges_identical_blocks_to_default_executor():
     probes = _queries(12, 1_000_000, seed=23)
     plain = SkylineService(base, ServiceConfig(cache_capacity=0, **CFG))
     pooled = SkylineService(base, ServiceConfig(cache_capacity=0, **CFG))
-    install_worker_pool(pooled)
+    pooled.batch_executor = pool = ShardWorkerPool(pooled)
+    # Deletes in several shards make the probes' tombstone-fallback
+    # rescans run -- and charge their shards -- on the pool's workers.
+    victims = base[::64]
+    assert len({plain.router.route_point(p.x) for p in victims}) > 1
+    for victim in victims:
+        assert plain.delete(victim) and pooled.delete(victim)
+    fallbacks = 0
     for batch_start in range(0, len(probes), 4):
         batch = probes[batch_start : batch_start + 4]
-        expected = [_canon(r) for r in plain.query_many(batch)]
-        got = [_canon(r) for r in pooled.query_many(batch)]
-        assert got == expected
+        expected, _ = plain.query_many_traced(batch)
+        got, traces = pooled.query_many_traced(batch)
+        assert [_canon(r) for r in got] == [_canon(r) for r in expected]
+        fallbacks += sum(trace.tombstone_fallback for trace in traces)
+    pool.close()
+    assert fallbacks > 0
     assert pooled.stats.total == plain.stats.total
+
+
+def test_worker_pool_waits_for_every_worklist_before_raising():
+    base = uniform_points(512, universe=1_000_000, seed=24)
+    service = SkylineService(base, ServiceConfig(**CFG))
+    pool = ShardWorkerPool(service)
+    running = set()
+    guard = threading.Lock()
+
+    def shard_query(sid, query):
+        if sid == 0:
+            # Fail only once the other two worklists are running.
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                with guard:
+                    if len(running) == 2:
+                        break
+                time.sleep(0.001)
+            raise RuntimeError("shard 0 failed")
+        with guard:
+            running.add(sid)
+        time.sleep(0.2)
+        with guard:
+            running.discard(sid)
+        return [], False
+
+    probe = RangeQuery()
+    worklists = {sid: [(0, probe)] for sid in range(3)}
+    with pytest.raises(RuntimeError, match="shard 0 failed"):
+        pool(worklists, shard_query)
+    # Once the call has raised, no worker still reads a shard for it.
+    with guard:
+        assert not running
+    pool.close()
 
 
 # ----------------------------------------------------------------------
