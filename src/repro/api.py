@@ -1,12 +1,19 @@
-"""High-level facade routing each query variant to the right structure.
+"""High-level facade routing each query to the right structure.
 
-The paper separates the *easy* variants (top-open, right-open, dominance,
-contour -- answerable in O(log_B n + k/B) or better) from the *hard* ones
-(left-open, bottom-open, anti-dominance and general 4-sided -- which
-provably require Omega((n/B)^eps + k/B) I/Os with linear space).
-:class:`RangeSkylineIndex` mirrors that separation: it keeps one top-open
-structure for each "easy" orientation and a 4-sided structure for everything
-else, and dispatches on the shape of the query rectangle.
+The paper answers a rectangle whose top or right edge is grounded in
+O(log_B n + k/B) I/Os (Theorem 1), and needs the O((n/B)^eps + k/B)
+4-sided structure (Theorem 6) only for a rectangle that cuts both the top
+and the right of the point set.  :class:`RangeSkylineIndex` keeps one
+structure of each kind and routes with
+:func:`repro.core.queries.choose_structure`, which reads the index's own
+extent: a rectangle whose ``y_hi`` is at or above the largest indexed y
+goes to the top-open structure, otherwise one whose ``x_hi`` is at or
+beyond the largest indexed x goes to the right-open structure, and only
+the rest go to the 4-sided structure.  The rule is exact: no indexed
+point lies above ``y_max``, so dropping the condition ``y <= y_hi``
+removes nothing (and likewise for x).  Slabs are easy cases of it: an
+x-slab is top-open with ``y_lo = -inf``, a y-slab right-open with
+``x_lo = -inf``.
 
 Right-open queries are served by a top-open structure over the
 coordinate-swapped point set (dominance is symmetric under swapping the
@@ -18,11 +25,29 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from repro.core.point import Point, resolve_victim_index
-from repro.core.queries import RangeQuery, classify
+from repro.core.queries import (
+    INF,
+    STRUCTURE_FOUR_SIDED,
+    STRUCTURE_RIGHT_OPEN,
+    STRUCTURE_TOP_OPEN,
+    RangeQuery,
+    choose_structure,
+    classify,
+)
 from repro.em.storage import StorageManager
 from repro.structures.dynamic_topopen import DynamicTopOpenStructure
 from repro.structures.foursided import FourSidedStructure
 from repro.structures.topopen_static import StaticTopOpenStructure
+
+
+def structure_epsilon(structure: str, epsilon: float) -> float:
+    """The epsilon ``structure`` runs with inside an index built with
+    ``epsilon`` (the planner quotes it in the paper bounds).  The 4-sided
+    structure's is floored at 0.25: smaller values make its base-tree
+    fanout degenerate."""
+    if structure == STRUCTURE_FOUR_SIDED:
+        return max(0.25, epsilon)
+    return epsilon
 
 
 def _swap(point: Point) -> Point:
@@ -45,6 +70,11 @@ class RangeSkylineIndex:
         are used and updates raise ``TypeError``.
     epsilon:
         The query/update trade-off knob of Theorems 4 and 6.
+
+    :attr:`x_max` and :attr:`y_max` are at or above the largest indexed
+    coordinates; :meth:`query` routes on them.  Inserts raise them and
+    deletes leave them, since any value at or above the true maximum
+    still routes exactly.
     """
 
     def __init__(
@@ -58,6 +88,8 @@ class RangeSkylineIndex:
         self.dynamic = dynamic
         self.epsilon = epsilon
         self.points: List[Point] = list(points)
+        self.x_max = max((p.x for p in self.points), default=-INF)
+        self.y_max = max((p.y for p in self.points), default=-INF)
         swapped = [_swap(p) for p in self.points]
         if dynamic:
             self._top_open = DynamicTopOpenStructure(
@@ -69,7 +101,11 @@ class RangeSkylineIndex:
         else:
             self._top_open = StaticTopOpenStructure(storage, self.points)
             self._right_open = StaticTopOpenStructure(storage, swapped)
-        self._four_sided = FourSidedStructure(storage, self.points, epsilon=max(0.25, epsilon))
+        self._four_sided = FourSidedStructure(
+            storage,
+            self.points,
+            epsilon=structure_epsilon(STRUCTURE_FOUR_SIDED, epsilon),
+        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -78,18 +114,21 @@ class RangeSkylineIndex:
         """Maxima of the indexed points inside ``query``, sorted by x."""
         if not self.points:
             return []
-        label = classify(query)
-        if label in ("top-open", "dominance", "contour", "unbounded", "1-sided"):
+        structure = self.route(query)
+        if structure == STRUCTURE_TOP_OPEN:
             return self._top_open.query_top_open(query.x_lo, query.x_hi, query.y_lo)
-        if label == "right-open":
+        if structure == STRUCTURE_RIGHT_OPEN:
             swapped = self._right_open.query_top_open(query.y_lo, query.y_hi, query.x_lo)
             return sorted((_swap(p) for p in swapped), key=lambda p: p.x)
-        # Left-open, bottom-open, anti-dominance, slabs and 4-sided queries
-        # are exactly as hard as the general case (Theorem 5), so they all go
-        # to the 4-sided structure (Theorem 6).
         return self._four_sided.query_four_sided(
             query.x_lo, query.x_hi, query.y_lo, query.y_hi
         )
+
+    def route(self, query: RangeQuery) -> str:
+        """The structure :meth:`query` runs for ``query``: the extent rule
+        of the module docstring, over this index's :attr:`x_max` and
+        :attr:`y_max`.  The engine's planner calls it too."""
+        return choose_structure(query, self.x_max, self.y_max)
 
     def query_many(self, queries: Sequence[RangeQuery]) -> List[List[Point]]:
         """Answer a batch of queries; ``result[i]`` answers ``queries[i]``.
@@ -121,6 +160,8 @@ class RangeSkylineIndex:
         """Insert a point (requires ``dynamic=True``)."""
         self._require_dynamic()
         self.points.append(point)
+        self.x_max = max(self.x_max, point.x)
+        self.y_max = max(self.y_max, point.y)
         self._top_open.insert(point)
         self._right_open.insert(_swap(point))
         self._four_sided.insert(point)
@@ -169,9 +210,8 @@ class RangeSkylineIndex:
     def four_sided_epsilon(self) -> float:
         """The epsilon the 4-sided structure actually runs with.
 
-        The facade floors the knob at 0.25 for the 4-sided structure
-        (very small epsilons make its base-tree fanout degenerate); the
-        engine's planner quotes this value when instantiating Theorem 6's
-        bound.
+        The facade floors the knob for the 4-sided structure (see
+        :func:`structure_epsilon`, which the engine's planner also uses
+        when instantiating Theorem 6's bound).
         """
         return self._four_sided.epsilon

@@ -4,6 +4,8 @@ Every query is an axis-parallel rectangle ``[x_lo, x_hi] x [y_lo, y_hi]``
 with some sides grounded at infinity.  A query object knows which points it
 contains; the skyline *within* the query is computed by
 :func:`repro.core.skyline.range_skyline` or by the I/O structures.
+:func:`choose_structure` picks which of those structures answers a
+rectangle; :func:`classify` only labels its shape for reports.
 """
 
 from __future__ import annotations
@@ -136,6 +138,32 @@ class FourSidedQuery(RangeQuery):
 
     def __init__(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> None:
         super().__init__(x_lo=x_lo, x_hi=x_hi, y_lo=y_lo, y_hi=y_hi)
+
+
+STRUCTURE_TOP_OPEN = "top-open"
+STRUCTURE_RIGHT_OPEN = "right-open"
+STRUCTURE_FOUR_SIDED = "four-sided"
+
+
+def choose_structure(
+    query: RangeQuery, x_max: float = INF, y_max: float = INF
+) -> str:
+    """The structure that answers ``query`` over points whose largest
+    x-coordinate is at most ``x_max`` and largest y at most ``y_max``.
+
+    A rectangle whose top edge clears every point loses nothing by
+    dropping its ``y <= y_hi`` condition, so the top-open structure
+    answers it (Theorem 1); one whose right edge clears every point is
+    likewise a right-open query.  Only a rectangle that cuts both the top
+    and the right of the point set needs the 4-sided structure
+    (Theorem 6).  With the default infinite extents the choice depends on
+    the rectangle's grounded edges alone.
+    """
+    if query.y_hi >= y_max:
+        return STRUCTURE_TOP_OPEN
+    if query.x_hi >= x_max:
+        return STRUCTURE_RIGHT_OPEN
+    return STRUCTURE_FOUR_SIDED
 
 
 def classify(query: RangeQuery) -> str:

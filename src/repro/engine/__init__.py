@@ -34,12 +34,10 @@ from repro.engine.plan import (
     BOUND_FOUR_SIDED,
     BOUND_STATIC_EASY,
     BOUND_UPDATE_LEVELED,
-    EASY_TOP_OPEN_VARIANTS,
     QueryPlan,
     ScopePlan,
     amortized_update_io,
     bound_for,
-    structure_for,
 )
 from repro.engine.report import (
     ExecutionReport,
@@ -75,9 +73,7 @@ __all__ = [
     "ExecutionReport",
     "QueryPlan",
     "ScopePlan",
-    "structure_for",
     "bound_for",
-    "EASY_TOP_OPEN_VARIANTS",
     "BOUND_STATIC_EASY",
     "BOUND_DYNAMIC_EASY",
     "BOUND_FOUR_SIDED",

@@ -22,12 +22,11 @@ ledger -- the invariant the engine's accounting tests pin down.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.api import RangeSkylineIndex
 from repro.core.point import Point
-from repro.core.queries import RangeQuery
+from repro.core.queries import RangeQuery, choose_structure
 from repro.em.config import EMConfig
 from repro.em.counters import IOSnapshot
 from repro.em.storage import StorageManager
@@ -36,11 +35,11 @@ from repro.engine.plan import (
     QueryPlan,
     amortized_update_io,
     build_plan,
-    structure_for,
 )
 from repro.engine.requests import OP_INSERT, QueryRequest, UpdateRequest
 from repro.service.config import ServiceConfig
 from repro.service.durability import DurableStore
+from repro.service.lsm.levels import clip_query
 from repro.service.service import QueryExecutionTrace, SkylineService
 
 
@@ -221,18 +220,14 @@ class LocalIndexBackend:
 
     # -- planning ------------------------------------------------------
     def plan(self, request: QueryRequest) -> QueryPlan:
-        # The facade builds its 4-sided structure with a floored epsilon;
-        # quote the value the structure actually uses.
-        epsilon = self.index.epsilon
-        if structure_for(request.variant) == "four-sided":
-            epsilon = self.index.four_sided_epsilon
+        index = self.index
         return build_plan(
             request,
             backend=self.name,
             block_size=self.block_size(),
-            epsilon=epsilon,
-            dynamic=self.index.dynamic,
-            scopes=[(None, len(self.index))],
+            epsilon=index.epsilon,
+            dynamic=index.dynamic,
+            scopes=[(None, len(index), index.route(request.rect))],
             shards_pruned=0,
         )
 
@@ -366,17 +361,18 @@ class ShardedServiceBackend:
         # fans across every level structure, so the plan carries one
         # scope per level and reports the level layout plus the amortized
         # update bound instantiated with the actual B, n, growth factor
-        # and memtable capacity.
+        # and memtable capacity.  Each scope records the structure its
+        # index routes the rectangle it receives to.
         service = self.service
         config = service.config
-        visited = self._visited(request.rect)
-        scopes: List[Tuple[Optional[int], int]] = [
-            (sid, len(service.shards[sid])) for sid in visited
-        ]
-        epsilon = config.epsilon
-        if structure_for(request.variant) == "four-sided":
-            epsilon = max(0.25, epsilon)  # the shard index floors it too
-        level_scopes: List[Tuple[int, int]] = []
+        rect = request.rect
+        visited = self._visited(rect)
+        scopes: List[Tuple[Optional[int], int, str]] = []
+        for sid in visited:
+            shard = service.shards[sid]
+            assert shard.index is not None
+            scopes.append((sid, len(shard), shard.index.route(rect)))
+        level_scopes: List[Tuple[int, int, str]] = []
         # Towers are per-shard: the layout and the per-level search
         # terms are instantiated over the *visited* shards' towers
         # only -- exactly the structures this query's execution fans
@@ -384,7 +380,6 @@ class ShardedServiceBackend:
         # plus their sealed-but-not-yet-flushed frozen memtables;
         # level -1 aggregates inherited components through their
         # refs' adoption intervals.
-        rect = request.rect
         layout: Dict[int, int] = {0: 0}
         for sid in visited:
             shard = service.shards[sid]
@@ -400,27 +395,34 @@ class ShardedServiceBackend:
                 # so it adds no search term to the predicted cost.
                 lo = comp.columns.bisect_x_left(rect.x_lo)
                 if lo < len(comp.points) and comp.points[lo].x <= rect.x_hi:
-                    level_scopes.append((level, len(comp)))
+                    assert comp.index is not None
+                    level_scopes.append(
+                        (level, len(comp), comp.index.route(rect))
+                    )
                 layout[level] = layout.get(level, 0) + len(comp)
             for ref in tower.inherited:
                 comp = ref.comp
                 layout[-1] = layout.get(-1, 0) + len(ref)
-                # The prune bisect runs against the ref-narrowed
-                # window, like the execution side.
-                x_lo = max(rect.x_lo, ref.x_lo)
-                x_hi = rect.x_hi
-                if ref.x_hi != math.inf:
-                    x_hi = min(
-                        x_hi, math.nextafter(ref.x_hi, -math.inf)
+                # The prune bisect and the route both see the
+                # ref-narrowed rectangle, like the execution side.
+                clipped = clip_query(rect, ref.x_lo, ref.x_hi)
+                if clipped is None:
+                    continue
+                lo = max(comp.columns.bisect_x_left(clipped.x_lo), ref.lo)
+                if lo < ref.hi and comp.points[lo].x <= clipped.x_hi:
+                    # An inherited frozen memtable has no index; it
+                    # keeps the shape-level choice.
+                    chosen = (
+                        choose_structure(clipped)
+                        if comp.index is None
+                        else comp.index.route(clipped)
                     )
-                lo = max(comp.columns.bisect_x_left(x_lo), ref.lo)
-                if lo < ref.hi and comp.points[lo].x <= x_hi:
-                    level_scopes.append((-1, len(ref)))
+                    level_scopes.append((-1, len(ref), chosen))
         return build_plan(
             request,
             backend=self.name,
             block_size=self.block_size(),
-            epsilon=epsilon,
+            epsilon=config.epsilon,
             dynamic=False,
             scopes=scopes,
             shards_pruned=len(service.shards) - len(visited),

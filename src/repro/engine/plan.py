@@ -4,12 +4,22 @@
 questions about a request *before* it runs:
 
 1. **Which structure serves it.**  The dispatch mirrors
-   :meth:`repro.RangeSkylineIndex.query` exactly: the *easy* variants of
-   Figure 2 (top-open, dominance, contour, 1-sided, unbounded) go to the
-   top-open structure; right-open goes to the axis-swapped top-open
-   structure; everything else (left-open, bottom-open, anti-dominance,
-   slabs, general 4-sided) is provably as hard as the 4-sided case
-   (Theorem 5) and goes to the 4-sided structure.
+   :meth:`repro.RangeSkylineIndex.query` exactly, because both call
+   :func:`repro.core.queries.choose_structure`.  Each index routes on its
+   own extent: a rectangle whose ``y_hi`` is at or above the index's
+   largest y goes to the top-open structure; otherwise one whose ``x_hi``
+   is at or beyond its largest x goes to the axis-swapped top-open
+   (right-open) structure; only the rest go to the 4-sided structure.
+   Every :class:`ScopePlan` records the structure its index will pick for
+   the rectangle that index receives.  The plan's own ``structure`` and
+   ``bound`` give the shape-level choice, the same rule with infinite
+   extents: every shape with a grounded top (top-open, dominance,
+   contour, x-slabs) is top-open; the rest with a grounded right edge
+   (right-open, y-slabs, ``y <= d``) are right-open.  Slabs are *not* as
+   hard as the 4-sided case: an x-slab is top-open with ``y_lo = -inf``
+   and a y-slab right-open with ``x_lo = -inf``.  Only left-open,
+   bottom-open, anti-dominance and general 4-sided shapes are 4-sided,
+   and even those run Theorem 1 on any index whose points they clear.
 
 2. **What the paper says it should cost.**  The relevant bound --
    Theorem 1's ``O(log_B n + k/B)`` for static top-open/right-open,
@@ -24,26 +34,21 @@ On the sharded backend a query fans out to the shards whose x-range its
 rectangle intersects; the plan then carries one scope per *visited* shard
 (each a static structure over that shard's resident points) and the
 search term is the sum over the visited scopes -- pruned shards
-contribute nothing, which is exactly the service's pruning win.
+contribute nothing, which is exactly the service's pruning win.  A shard
+the rectangle crosses all the way to its right end runs the right-open
+structure even when the rectangle itself is 4-sided, and its scope's
+search term is Theorem 1's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api import structure_epsilon
+from repro.core.queries import STRUCTURE_FOUR_SIDED, choose_structure
 from repro.engine.requests import QueryRequest
-
-#: Variants served by the top-open structure (the paper's "easy" side,
-#: minus right-open which needs the swapped copy).
-EASY_TOP_OPEN_VARIANTS = frozenset(
-    {"top-open", "dominance", "contour", "1-sided", "unbounded"}
-)
-
-STRUCTURE_TOP_OPEN = "top-open"
-STRUCTURE_RIGHT_OPEN = "right-open"
-STRUCTURE_FOUR_SIDED = "four-sided"
 
 #: Paper bounds, by (structure, dynamic?).
 BOUND_STATIC_EASY = "O(log_B n + k/B)"  # Theorems 1 and 6 (swapped)
@@ -68,15 +73,6 @@ def amortized_update_io(
     g = max(2, growth)
     levels = max(1.0, math.log(max(2.0, n / max(1, memtable_capacity)), g))
     return g * levels / b
-
-
-def structure_for(variant: str) -> str:
-    """The structure :meth:`repro.RangeSkylineIndex.query` dispatches to."""
-    if variant in EASY_TOP_OPEN_VARIANTS:
-        return STRUCTURE_TOP_OPEN
-    if variant == "right-open":
-        return STRUCTURE_RIGHT_OPEN
-    return STRUCTURE_FOUR_SIDED
 
 
 def bound_for(structure: str, dynamic: bool) -> str:
@@ -111,21 +107,34 @@ def per_result_term(
     return 1.0 / b
 
 
+def _render_term(structure: str, dynamic: bool, b: int, epsilon: float) -> str:
+    if structure == STRUCTURE_FOUR_SIDED:
+        return f"(n/{b})^{epsilon:g}"
+    if dynamic:
+        return f"log_(2*{b}^{epsilon:g})(n/{b})"
+    return f"log_{b}(n)"
+
+
 @dataclass(frozen=True)
 class ScopePlan:
     """One structure instance the query will touch.
 
     ``shard`` is the shard id on the sharded backend, ``None`` on the
-    monolithic one; ``n`` is the points resident in that instance and
-    ``search_io`` its instantiated k-independent term.  ``level`` marks
-    the leveled-update-path component the scope belongs to (``None`` for
-    a base shard or the monolithic index): on the leveled path a query
-    fans across the base shards *and* every level structure, and the plan
-    carries one scope per instance so the search term stays honest.
+    monolithic one; ``n`` is the points resident in that instance.
+    ``structure`` is the one that instance's index picks for the
+    rectangle it receives, ``epsilon`` the value that structure runs
+    with, and ``search_io`` its instantiated k-independent term.
+    ``level`` marks the leveled-update-path component the scope belongs
+    to (``None`` for a base shard or the monolithic index): on the
+    leveled path a query fans across the base shards *and* every level
+    structure, and the plan carries one scope per instance so the search
+    term stays honest.
     """
 
     shard: Optional[int]
     n: int
+    structure: str
+    epsilon: float
     search_io: float
     level: Optional[int] = None
 
@@ -180,17 +189,19 @@ class QueryPlan:
         but only ``explain``-style consumers render the string.
         """
         b = self.block_size
-        if self.structure == STRUCTURE_FOUR_SIDED:
-            term = f"(n/{b})^{self.epsilon:g}"
-        elif self.dynamic:
-            term = f"log_(2*{b}^{self.epsilon:g})(n/{b})"
-        else:
-            term = f"log_{b}(n)"
-        head = (
-            f"sum over {len(self.scopes)} shards of {term}"
-            if len(self.scopes) > 1
-            else term
-        )
+        counts: Dict[Tuple[str, float], int] = {}
+        for scope in self.scopes:
+            key = (scope.structure, scope.epsilon)
+            counts[key] = counts.get(key, 0) + 1
+        if not counts:
+            counts[(self.structure, self.epsilon)] = 1
+        parts: List[str] = []
+        for (structure, epsilon), count in counts.items():
+            term = _render_term(structure, self.dynamic, b, epsilon)
+            parts.append(
+                f"sum over {count} scopes of {term}" if count > 1 else term
+            )
+        head = " + ".join(parts)
         return (
             f"{head} + k*{self.per_result_io:.6g} = "
             f"{self.search_io:.3f} + k*{self.per_result_io:.6g}"
@@ -205,9 +216,9 @@ def build_plan(
     block_size: int,
     epsilon: float,
     dynamic: bool,
-    scopes: Sequence[Tuple[Optional[int], int]],
+    scopes: Sequence[Tuple[Optional[int], int, str]],
     shards_pruned: int = 0,
-    level_scopes: Sequence[Tuple[int, int]] = (),
+    level_scopes: Sequence[Tuple[int, int, str]] = (),
     level_layout: Sequence[Tuple[int, int]] = (),
     update_bound: Optional[str] = None,
     update_io: Optional[float] = None,
@@ -216,40 +227,55 @@ def build_plan(
     """Assemble a :class:`QueryPlan` from a backend's structural facts.
 
     ``scopes`` lists the structure instances that will serve the request
-    as ``(shard_id_or_None, resident_points)`` pairs; ``level_scopes``
-    lists the leveled components the query additionally fans across as
-    ``(level, resident_points)`` pairs; ``dynamic`` says whether the
-    easy-variant structures are Theorem 4's dynamic ones.
+    as ``(shard_id_or_None, resident_points, structure)`` triples;
+    ``level_scopes`` lists the leveled components the query additionally
+    fans across as ``(level, resident_points, structure)`` triples.  Each
+    ``structure`` is the one that instance's index picks
+    (:meth:`repro.RangeSkylineIndex.route`).  ``epsilon`` is the knob the
+    indexes were built with, and :func:`repro.api.structure_epsilon`
+    gives each structure's own value; ``dynamic`` says whether the easy
+    structures are Theorem 4's dynamic ones.  The plan's ``structure``
+    and ``bound`` are the shape-level choice; its per-result term is the
+    largest of its scopes'.
     """
-    variant = request.variant
-    structure = structure_for(variant)
-    scope_plans = tuple(
-        ScopePlan(
-            shard=sid,
+    structure = choose_structure(request.rect)
+
+    def scope_plan(
+        shard: Optional[int], n: int, chosen: str, level: Optional[int]
+    ) -> ScopePlan:
+        eps = structure_epsilon(chosen, epsilon)
+        return ScopePlan(
+            shard=shard,
             n=n,
-            search_io=search_term(structure, dynamic, n, block_size, epsilon),
-        )
-        for sid, n in scopes
-    ) + tuple(
-        ScopePlan(
-            shard=None,
-            n=n,
-            search_io=search_term(structure, dynamic, n, block_size, epsilon),
+            structure=chosen,
+            epsilon=eps,
+            search_io=search_term(chosen, dynamic, n, block_size, eps),
             level=level,
         )
-        for level, n in level_scopes
+
+    scope_plans = tuple(
+        scope_plan(sid, n, chosen, None) for sid, n, chosen in scopes
+    ) + tuple(
+        scope_plan(None, n, chosen, level) for level, n, chosen in level_scopes
     )
     search_io = sum(scope.search_io for scope in scope_plans)
-    per_result = per_result_term(structure, dynamic, block_size, epsilon)
+    plan_epsilon = structure_epsilon(structure, epsilon)
+    per_result = max(
+        (
+            per_result_term(scope.structure, dynamic, block_size, scope.epsilon)
+            for scope in scope_plans
+        ),
+        default=per_result_term(structure, dynamic, block_size, plan_epsilon),
+    )
     total_n = sum(scope.n for scope in scope_plans)
     return QueryPlan(
         backend=backend,
-        variant=variant,
+        variant=request.variant,
         structure=structure,
         bound=bound_for(structure, dynamic),
         block_size=block_size,
         n=total_n,
-        epsilon=epsilon,
+        epsilon=plan_epsilon,
         dynamic=dynamic,
         scopes=scope_plans,
         shards_visited=len(scopes),

@@ -42,11 +42,32 @@ import math
 from typing import Callable, Dict, List, Optional
 
 from repro.core.point import Point
+from repro.core.queries import RangeQuery
 from repro.em.config import EMConfig
 from repro.em.counters import IOStats
 from repro.service.delta import DeltaBuffer
 from repro.service.lsm.component import Component
 from repro.service.lsm.scheduler import CompactionScheduler, MergeJob
+
+
+def clip_query(
+    query: RangeQuery, clip_lo: float, clip_hi: float
+) -> Optional[RangeQuery]:
+    """``query`` narrowed to the half-open x-range ``[clip_lo, clip_hi)``,
+    or ``None`` when none of its x-window is left.
+
+    ``x_hi`` is inclusive, so the open upper bound becomes the previous
+    float.  An unchanged window returns ``query`` itself.
+    """
+    x_lo = max(query.x_lo, clip_lo)
+    x_hi = query.x_hi
+    if clip_hi != math.inf:
+        x_hi = min(x_hi, math.nextafter(clip_hi, -math.inf))
+    if x_lo > x_hi:
+        return None
+    if x_lo == query.x_lo and x_hi == query.x_hi:
+        return query
+    return RangeQuery(x_lo=x_lo, x_hi=x_hi, y_lo=query.y_lo, y_hi=query.y_hi)
 
 
 class InheritedRef:

@@ -131,6 +131,7 @@ from repro.service.durability import (
     write_snapshot_blocks,
 )
 from repro.service.lsm import Component, LevelManager
+from repro.service.lsm.levels import clip_query
 from repro.service.merge import (
     merge_component_skylines,
     merge_shard_skylines,
@@ -1397,18 +1398,12 @@ class SkylineService:
         outside the window can neither lie in nor dominate anything in
         the answer -- the same argument as router shard pruning.
         """
-        x_lo = max(query.x_lo, clip_lo)
-        x_hi = query.x_hi
-        if clip_hi != float("inf"):
-            x_hi = min(x_hi, math.nextafter(clip_hi, float("-inf")))
-        if x_lo > x_hi:
+        clipped = clip_query(query, clip_lo, clip_hi)
+        if clipped is None:
             return [], False
-        if x_lo != query.x_lo or x_hi != query.x_hi:
-            query = RangeQuery(
-                x_lo=x_lo, x_hi=x_hi, y_lo=query.y_lo, y_hi=query.y_hi
-            )
-        lo = comp.columns.bisect_x_left(x_lo)
-        if lo >= len(comp.points) or comp.points[lo].x > x_hi:
+        query = clipped
+        lo = comp.columns.bisect_x_left(query.x_lo)
+        if lo >= len(comp.points) or comp.points[lo].x > query.x_hi:
             return [], False
         if comp.index is None:
             # Frozen memtable: the vectorized in-rectangle filter over the

@@ -2,7 +2,8 @@
 
 A weight-balanced base tree with fanout ``f ~ (n/B)^eps`` (hence constant
 height ``O(1/eps)``) indexes the x-coordinates; every internal node ``u``
-stores a *right-open* structure ``R(u)`` over the points of its subtree,
+except the root stores a *right-open* structure ``R(u)`` over the points
+of its subtree,
 realised as a :class:`~repro.structures.dynamic_topopen.DynamicTopOpenStructure`
 on the coordinate-swapped point set (dominance, and therefore the skyline,
 is invariant under swapping the axes, and a right-open query becomes a
@@ -12,9 +13,13 @@ A 4-sided query walks the ``O((n/B)^eps / log(n/B))`` canonical nodes of
 its x-range from right to left, keeping the highest reported y-coordinate
 ``beta*``; each canonical node contributes the skyline of its subtree
 restricted to ``]beta*, y_hi]`` via one right-open query on ``R(u)``.  The
-boundary leaves are handled with one block read each.  Updates insert into
-the O(1) right-open structures along the leaf path and rebuild the base
-tree periodically, for ``O(log(n/B))`` amortized I/Os.
+boundary leaves are handled with one block read each.  A canonical node
+is always a child, never the root, so the root carries no ``R(u)``: a
+query that would need it (one that contains the whole x-range) is a
+right-open query, which :class:`repro.RangeSkylineIndex` sends to its own
+right-open structure.  Updates insert into the O(1) right-open structures
+along the leaf path and rebuild the base tree periodically, for
+``O(log(n/B))`` amortized I/Os.
 """
 
 from __future__ import annotations
@@ -60,7 +65,8 @@ class _LeafBlock:
 
 @dataclass
 class _InternalBlock:
-    """An internal node: children, separators, and its right-open structure."""
+    """An internal node: children, separators, and its right-open
+    structure (``None`` at the root, which no query reads)."""
 
     children: List[int] = field(default_factory=list)
     separators: List[float] = field(default_factory=list)
@@ -130,10 +136,12 @@ class FourSidedStructure:
             level.append((leaf_id, chunk[-1].x, start, start + len(chunk)))
         while len(level) > 1:
             next_level: List[Tuple[int, float, int, int]] = []
+            # One group left means this level builds the root.
+            is_root = len(level) <= fanout
             for start in range(0, len(level), fanout):
                 group = level[start : start + fanout]
                 run_start, run_end = group[0][2], group[-1][3]
-                right_open = DynamicTopOpenStructure(
+                right_open = None if is_root else DynamicTopOpenStructure(
                     self.storage,
                     points=swapped[run_start:run_end],
                     epsilon=0.0,
@@ -253,9 +261,11 @@ class FourSidedStructure:
                     unit, x_lo, x_hi, _strictly_above(beta_exclusive), y_hi
                 )
             else:
+                # _decompose never yields the root, the one node without
+                # an R(u).
                 swapped = unit.right_open.query_top_open(
                     _strictly_above(beta_exclusive), y_hi, -math.inf
-                ) if unit.right_open is not None else []
+                )
                 found = [Point(p.y, p.x, p.ident) for p in swapped]
             if found:
                 result.extend(found)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     AntiDominanceQuery,
@@ -12,12 +14,17 @@ from repro import (
     FourSidedQuery,
     LeftOpenQuery,
     Point,
+    RangeQuery,
     RangeSkylineIndex,
     RightOpenQuery,
     TopOpenQuery,
     range_skyline,
 )
+from repro.core.queries import INF
 from repro.em import EMConfig, StorageManager
+from repro.engine import SkylineEngine
+from repro.service import ServiceConfig
+from repro.workloads import uniform_points
 
 
 def make_storage():
@@ -119,3 +126,151 @@ def test_skyline_and_empty_index():
     empty = RangeSkylineIndex(make_storage(), [])
     assert empty.query(TopOpenQuery(0, 10, 0)) == []
     assert len(empty) == 0
+
+
+# ----------------------------------------------------------------------
+# Extent-aware routing: a side that clears every indexed point is as
+# good as grounded, so the easy structures answer it exactly.
+# ----------------------------------------------------------------------
+def side_pattern_rect(pattern, x_lo, x_hi, y_lo, y_hi):
+    """The rectangle with side ``i`` open iff bit ``i`` of ``pattern`` is
+    set (bits: left, right, bottom, top)."""
+    return RangeQuery(
+        x_lo=-INF if pattern & 1 else x_lo,
+        x_hi=INF if pattern & 2 else x_hi,
+        y_lo=-INF if pattern & 4 else y_lo,
+        y_hi=INF if pattern & 8 else y_hi,
+    )
+
+
+def canon_xy(points):
+    return sorted((p.x, p.y) for p in points)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=90),
+    extra=st.integers(min_value=0, max_value=30),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_every_side_pattern_matches_the_oracle(n, extra, seed):
+    """All 16 open/closed side patterns, on the static and dynamic
+    indexes and on the sharded engine, against ``range_skyline``.
+    Closed sides are drawn from the points' own coordinates and from
+    just outside the universe, so rectangles whose top or right edge
+    sits exactly on the extent, or beyond it, are common."""
+    rng = random.Random(seed)
+    universe = 400
+    points = random_points(n + extra, universe, seed)
+    base, fresh = points[:n], points[n:]
+    static = RangeSkylineIndex(make_storage(), base)
+    dynamic = RangeSkylineIndex(make_storage(), base, dynamic=True)
+    engine = SkylineEngine.sharded(
+        base,
+        ServiceConfig(
+            shard_count=3, block_size=8, memory_blocks=16, delta_threshold=8
+        ),
+    )
+    live = list(base)
+    for point in fresh:
+        dynamic.insert(point)
+        engine.insert(point)
+        live.append(point)
+    for victim in rng.sample(live, min(len(live), 6)):
+        assert dynamic.delete(victim)
+        assert engine.delete(victim).applied
+        live.remove(victim)
+    coords_x = [p.x for p in points] + [-5, universe + 5]
+    coords_y = [p.y for p in points] + [-5, universe + 5]
+    for _ in range(3):
+        x_lo, x_hi = sorted(rng.choice(coords_x) for _ in range(2))
+        y_lo, y_hi = sorted(rng.choice(coords_y) for _ in range(2))
+        for pattern in range(16):
+            rect = side_pattern_rect(pattern, x_lo, x_hi, y_lo, y_hi)
+            assert canon_xy(static.query(rect)) == canon_xy(
+                range_skyline(base, rect)
+            ), (pattern, rect)
+            expected = canon_xy(range_skyline(live, rect))
+            assert canon_xy(dynamic.query(rect)) == expected, (pattern, rect)
+            assert canon_xy(engine.query(rect).points) == expected, (
+                pattern,
+                rect,
+            )
+
+
+def test_y_hi_only_rectangle_respects_its_top_edge():
+    """Regression: ``y <= d`` once went to the top-open structure, which
+    ignores ``y_hi``, and reported points above ``d``."""
+    points = uniform_points(2_000, seed=1)
+    rect = RangeQuery(y_hi=500_000.0)
+    expected = canon_xy(range_skyline(points, rect))
+    assert expected
+    for dynamic in (False, True):
+        index = RangeSkylineIndex(make_storage(), points, dynamic=dynamic)
+        assert canon_xy(index.query(rect)) == expected
+        assert index.route(rect) == "right-open"
+
+
+def cold_charge(index, rect):
+    """Answer and block transfers of ``rect`` on a cold buffer pool."""
+    index.storage.drop_cache()
+    before = index.io_total()
+    answer = index.query(rect)
+    return canon_xy(answer), index.io_total() - before
+
+
+def test_rectangle_clearing_the_extent_charges_the_easy_structure():
+    """A 4-sided rectangle whose right (top) edge is at or beyond the
+    largest indexed x (y) charges exactly what the matching right-open
+    (top-open) query charges, and answers the same."""
+    points = random_points(600, 5_000, 11)
+    index = RangeSkylineIndex(make_storage(), points)
+    x_max = max(p.x for p in points)
+    y_max = max(p.y for p in points)
+    assert (index.x_max, index.y_max) == (x_max, y_max)
+    for x_hi in (x_max, x_max + 100):
+        rect = FourSidedQuery(1_000, x_hi, 500, 3_000)
+        assert index.route(rect) == "right-open"
+        assert cold_charge(index, rect) == cold_charge(
+            index, RightOpenQuery(1_000, 500, 3_000)
+        )
+    for y_hi in (y_max, y_max + 100):
+        rect = FourSidedQuery(1_000, 3_000, 500, y_hi)
+        assert index.route(rect) == "top-open"
+        assert cold_charge(index, rect) == cold_charge(
+            index, TopOpenQuery(1_000, 3_000, 500)
+        )
+    # One step inside the extent the 4-sided structure answers.
+    inside = FourSidedQuery(1_000, x_max - 1, 500, y_max - 1)
+    assert index.route(inside) == "four-sided"
+    assert cold_charge(index, inside)[0] == canon_xy(
+        range_skyline(points, inside)
+    )
+
+
+def test_dynamic_insert_raises_the_extent_and_delete_keeps_it():
+    points = random_points(300, 5_000, 12)
+    index = RangeSkylineIndex(make_storage(), points, dynamic=True)
+    x_max = index.x_max
+    # A rectangle that clears the old extent but not the new point,
+    # which would dominate its answer if the route still said right-open.
+    rect = FourSidedQuery(0, x_max + 10, 0, 4_000)
+    assert index.route(rect) == "right-open"
+    outlier = Point(x_max + 50, 3_999.5, 10_000)
+    index.insert(outlier)
+    assert index.x_max == x_max + 50
+    assert index.route(rect) == "four-sided"
+    live = points + [outlier]
+    assert canon_xy(index.query(rect)) == canon_xy(range_skyline(live, rect))
+    wide = FourSidedQuery(0, x_max + 50, 0, 4_000)
+    assert index.route(wide) == "right-open"
+    assert cold_charge(index, wide) == cold_charge(
+        index, RightOpenQuery(0, 0, 4_000)
+    )
+    assert outlier in index.query(wide)
+    # Deletes leave the extent where it is; routing stays exact.
+    assert index.delete(outlier)
+    assert index.x_max == x_max + 50
+    assert canon_xy(index.query(wide)) == canon_xy(
+        range_skyline(points, wide)
+    )

@@ -19,7 +19,7 @@ from repro import (
     TopOpenQuery,
     range_skyline,
 )
-from repro.core.queries import classify
+from repro.core.queries import choose_structure, classify
 from repro.em import EMConfig
 from repro.engine import (
     BOUND_DYNAMIC_EASY,
@@ -28,7 +28,6 @@ from repro.engine import (
     QueryRequest,
     SkylineEngine,
     UpdateRequest,
-    structure_for,
 )
 from repro.service import ServiceConfig
 
@@ -60,8 +59,8 @@ EXPECTED_STRUCTURE = {
     "left-open": "four-sided",
     "anti-dominance": "four-sided",
     "4-sided": "four-sided",
-    "x-slab": "four-sided",
-    "y-slab": "four-sided",
+    "x-slab": "top-open",
+    "y-slab": "right-open",
 }
 
 
@@ -104,7 +103,7 @@ def test_explain_structure_choice_every_variant_both_backends():
     local, sharded = make_engines(points)
     for variant, rect in VARIANT_QUERIES.items():
         assert classify(rect) == variant
-        assert structure_for(variant) == EXPECTED_STRUCTURE[variant]
+        assert choose_structure(rect) == EXPECTED_STRUCTURE[variant]
         for engine in (local, sharded):
             plan = engine.explain(rect)
             assert plan.variant == variant
@@ -183,6 +182,72 @@ def test_explain_prunes_shards_for_narrow_rectangles():
     assert plan.search_io < wide.search_io
 
 
+def test_each_scope_runs_the_structure_it_planned(monkeypatch):
+    """explain() mirrors dispatch per scope: on rectangles that cross
+    shard boundaries, each scope's planned structure is the one whose
+    query method ran on that scope, on both backends."""
+    points = make_points(400)
+    local, sharded = make_engines(points)
+    ran = []
+
+    def spy(scope, structure, method):
+        def traced(*args, **kwargs):
+            ran.append((scope, structure))
+            return method(*args, **kwargs)
+
+        return traced
+
+    def instrument(scope, index):
+        for attr, name, structure in (
+            ("_top_open", "query_top_open", "top-open"),
+            ("_right_open", "query_top_open", "right-open"),
+            ("_four_sided", "query_four_sided", "four-sided"),
+        ):
+            target = getattr(index, attr)
+            monkeypatch.setattr(
+                target, name, spy(scope, structure, getattr(target, name))
+            )
+
+    instrument(None, local.backend.index)
+    service = sharded.backend.service
+    for sid, shard in enumerate(service.shards):
+        instrument(sid, shard.index)
+    first, third = service.shards[0].points, service.shards[2].points
+    x_lo = first[len(first) // 2].x
+    x_hi = third[len(third) // 2].x
+    crossing = FourSidedQuery(x_lo, x_hi, 500, 5_000)
+    rects = (
+        crossing,
+        FourSidedQuery(x_lo, x_hi, 500, 10_000),  # top clears every point
+        FourSidedQuery(x_lo, 10_000, 500, 5_000),  # right clears every point
+        RangeQuery(y_lo=500, y_hi=5_000),  # y-slab
+        RangeQuery(x_lo=x_lo, x_hi=x_hi),  # x-slab
+    )
+    for rect in rects:
+        expected = canon(range_skyline(points, rect))
+        for engine in (local, sharded):
+            plan = engine.explain(rect)
+            ran.clear()
+            result = engine.query(QueryRequest(rect, consistency="fresh"))
+            assert canon(result.points) == expected
+            assert sorted(ran, key=repr) == sorted(
+                ((scope.shard, scope.structure) for scope in plan.scopes),
+                key=repr,
+            ), rect
+    # The crossing rectangle is 4-sided as a shape, but the shards it
+    # crosses to their right end run the right-open structure.
+    plan = sharded.explain(crossing)
+    assert plan.structure == "four-sided"
+    assert [scope.structure for scope in plan.scopes] == [
+        "right-open",
+        "right-open",
+        "four-sided",
+    ]
+    assert plan.search_io < sum(
+        max(1.0, (scope.n / 16) ** plan.epsilon) for scope in plan.scopes
+    )
+
+
 def test_explain_performs_no_io():
     points = make_points(200)
     for engine in make_engines(points):
@@ -249,7 +314,7 @@ def test_sharded_compaction_is_charged_to_the_tripping_update():
     # Tombstones of base-resident points are in-memory bookkeeping.
     assert [r.report.blocks for r in reports[:7]] == [0] * 7
     # The eighth tombstone trips the valve: the rebuild landed on it.
-    assert reports[7].report.blocks == 178
+    assert reports[7].report.blocks == 136
     assert sharded.backend.service.compactions == 1
     assert (
         sharded.attributed_io() + sharded.maintenance_io()

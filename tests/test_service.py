@@ -202,7 +202,11 @@ def test_merge_shard_skylines_running_max():
 
 def test_result_cache_epochs_and_writes():
     points = uniform_points(300, seed=3)
-    service = SkylineService(points, shard_count=3, delta_threshold=10_000)
+    # memory_blocks=8 makes the rebuild spill out of the buffer pool, so
+    # it charges transfers.
+    service = SkylineService(
+        points, shard_count=3, delta_threshold=10_000, memory_blocks=8
+    )
     query = TopOpenQuery(points[10].x, points[10].x + 50_000, points[10].y - 1)
     first = service.query(query)
     assert service.cache.hits == 0
@@ -342,7 +346,11 @@ def test_tombstone_fallback_charges_io():
 def test_io_totals_monotone_across_compaction():
     """Retired ledgers keep io_total() monotone when shards are rebuilt."""
     points = uniform_points(300, seed=17)
-    service = SkylineService(points, shard_count=3, delta_threshold=10_000)
+    # memory_blocks=8 makes the rebuild spill out of the buffer pool, so
+    # it charges transfers.
+    service = SkylineService(
+        points, shard_count=3, delta_threshold=10_000, memory_blocks=8
+    )
     service.query_many(random_queries(points, 3, random.Random(0)))
     before = service.io_total()
     service.compact()
