@@ -3,8 +3,8 @@
 Claims (ISSUE 6 acceptance):
 
 * on a Zipf-skewed multi-client read burst, **cross-caller coalescing
-  reduces total block transfers** versus serving every gathered
-  submission individually -- with the result cache off, so the saving is
+  reduces total block transfers** versus serving every submission alone
+  (``max_batch=1``) -- with the result cache off, so the saving is
   in the ledger, not cache luck -- and both modes return identical
   per-request answers;
 * past saturation, the **shed backpressure policy keeps the served p99

@@ -75,6 +75,13 @@ class RangeSkylineIndex:
     coordinates; :meth:`query` routes on them.  Inserts raise them and
     deletes leave them, since any value at or above the true maximum
     still routes exactly.
+
+    A dynamic index rejects, with ``ValueError`` before any I/O, points
+    or an insert that would give two live points one x but different y
+    (or one y but different x), which the structures answer wrongly.
+    Exact coordinate twins stay: answers agree with
+    :func:`repro.range_skyline` on their coordinates, and :meth:`delete`
+    tells them apart by ``ident``.
     """
 
     def __init__(
@@ -88,6 +95,13 @@ class RangeSkylineIndex:
         self.dynamic = dynamic
         self.epsilon = epsilon
         self.points: List[Point] = list(points)
+        if dynamic:
+            # Live coordinates; only the last twin's delete frees them.
+            self._xs = {p.x for p in self.points}
+            self._ys = {p.y for p in self.points}
+            positions = {(p.x, p.y) for p in self.points}
+            if not len(self._xs) == len(positions) == len(self._ys):
+                raise ValueError("points must be in general position: two share an x or a y")
         self.x_max = max((p.x for p in self.points), default=-INF)
         self.y_max = max((p.y for p in self.points), default=-INF)
         swapped = [_swap(p) for p in self.points]
@@ -157,8 +171,14 @@ class RangeSkylineIndex:
     # Updates (dynamic mode only)
     # ------------------------------------------------------------------
     def insert(self, point: Point) -> None:
-        """Insert a point (requires ``dynamic=True``)."""
+        """Insert a point (requires ``dynamic=True``); ``ValueError`` if
+        it shares exactly one coordinate with a live point."""
         self._require_dynamic()
+        taken = point.x in self._xs or point.y in self._ys
+        if taken and resolve_victim_index(self.points, point) is None:
+            raise ValueError(f"coordinate collision with a live point: {point}")
+        self._xs.add(point.x)
+        self._ys.add(point.y)
         self.points.append(point)
         self.x_max = max(self.x_max, point.x)
         self.y_max = max(self.y_max, point.y)
@@ -188,6 +208,9 @@ class RangeSkylineIndex:
             self._right_open.delete(_swap(victim))
             self._four_sided.delete(victim)
             del self.points[victim_index]
+            if resolve_victim_index(self.points, victim) is None:
+                self._xs.discard(victim.x)
+                self._ys.discard(victim.y)
         return removed
 
     def _require_dynamic(self) -> None:

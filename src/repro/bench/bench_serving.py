@@ -6,13 +6,14 @@ transfers on the simulated machines) next to wall-clock seconds:
 
 1. **Coalescing** (:func:`run_serving_sweep` modes ``coalesced`` /
    ``uncoalesced``): the same Zipf-skewed multi-client read burst is
-   served twice -- once with cross-caller coalescing on (duplicate
-   requests inside a gather window collapse onto one leader execution
-   through the engine's native batch path) and once with every gathered
-   submission executed individually.  The result cache is off and the
-   buffer pools are small, so the saving must show up in the block
-   ledger itself, not in cache luck; per-request answers are checked
-   identical between the two modes before either row is recorded.
+   served twice -- once gathered into batches, where identical and
+   nested rectangles across callers share one execution inside
+   :meth:`~repro.engine.SkylineEngine.query_batch_shared`, and once with
+   ``max_batch=1``, so every submission executes alone.  The result
+   cache is off and the buffer pools are small, so the saving must show
+   up in the block ledger itself, not in cache luck; per-request answers
+   are checked identical between the two modes before either row is
+   recorded.
 
 2. **Backpressure** (modes ``block`` / ``shed``): a burst far past
    saturation is staged into the intake queue before the server starts.
@@ -218,16 +219,16 @@ def run_serving_sweep(
     summary: Summary = {}
 
     # -- cell 1: coalescing on vs off over the identical burst ----------
+    # Off is ``max_batch=1``: no submission has company to share with.
     mode_outcomes: Dict[str, List[object]] = {}
-    for mode, coalesce in (("coalesced", True), ("uncoalesced", False)):
+    for mode, mode_batch in (("coalesced", max_batch), ("uncoalesced", 1)):
         engine = SkylineEngine.sharded(base, **engine_config())
         outcomes, _, cell = _serve_burst(
             engine,
             burst,
             ServerConfig(
                 gather_window=gather_window,
-                max_batch=max_batch,
-                coalesce=coalesce,
+                max_batch=mode_batch,
                 max_read_queue=len(burst),
             ),
         )

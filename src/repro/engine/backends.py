@@ -52,7 +52,6 @@ class QueryTrace:
         "shards_visited",
         "shards_pruned",
         "tombstone_fallback",
-        "coalesced",
     )
 
     def __init__(
@@ -61,13 +60,11 @@ class QueryTrace:
         shards_visited: int = 1,
         shards_pruned: int = 0,
         tombstone_fallback: bool = False,
-        coalesced: bool = False,
     ) -> None:
         self.cache_hit = cache_hit
         self.shards_visited = shards_visited
         self.shards_pruned = shards_pruned
         self.tombstone_fallback = tombstone_fallback
-        self.coalesced = coalesced
 
 
 class Backend(Protocol):
@@ -108,7 +105,8 @@ class Backend(Protocol):
     ) -> List[Tuple[List[Point], QueryTrace]]:
         """Answer a batch through the backend's native batch executor:
         ``result[i]`` is the full, unpaginated x-ordered answer to
-        ``rects[i]`` plus its trace."""
+        ``rects[i]`` plus its trace.  Every rectangle executes; the
+        engine has already collapsed identical and nested ones."""
         ...
 
     def apply(self, request: UpdateRequest) -> bool:
@@ -328,14 +326,13 @@ class ShardedServiceBackend:
             shards_visited=visited,
             shards_pruned=len(self.service.shards) - visited,
             tombstone_fallback=trace.tombstone_fallback,
-            coalesced=trace.coalesced,
         )
 
     def execute_many(
         self, rects: List[RangeQuery], consistency: str
     ) -> List[Tuple[List[Point], QueryTrace]]:
         """One native ``query_many_traced`` call: worklist batching and
-        duplicate coalescing apply, and the traces come back with the
+        the result cache apply, and the traces come back with the
         results, so concurrent batch executions share no state."""
         service = self.service
         # repro: calls(SkylineService.query_many_traced)

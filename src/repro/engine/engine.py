@@ -24,6 +24,7 @@ exactly on both backends.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.analysis import sanitize as _sanitize
@@ -70,6 +71,34 @@ def _paginate(
         return points, None
     page = points[:limit]
     return page, page[-1].x
+
+
+def _answered_by(rects: Sequence[RangeQuery]) -> List[int]:
+    """For each rectangle of a batch, the position of the one whose
+    execution answers it (its own for a leader).
+
+    A point inside a rectangle nested in another with the same top-right
+    corner has all its dominators between itself and that corner, so
+    inside its own rectangle: filtering the larger answer is exact, and
+    identical rectangles are the trivial case.  Visiting in
+    ``(x_lo, y_lo)`` order, ties in batch order, puts every possible
+    container first, and nesting with a shared corner is transitive, so
+    each rectangle joins the first leader containing it or leads.
+    """
+    answered_by = list(range(len(rects)))
+    leaders: List[int] = []
+    for i in sorted(answered_by, key=lambda i: (rects[i].x_lo, rects[i].y_lo)):
+        r = rects[i]
+        for j in leaders:
+            o = rects[j]
+            if (r.x_hi, r.y_hi) == (o.x_hi, o.y_hi) and (
+                r.x_lo >= o.x_lo and r.y_lo >= o.y_lo
+            ):
+                answered_by[i] = j
+                break
+        else:
+            leaders.append(i)
+    return answered_by
 
 
 class SkylineEngine:
@@ -248,7 +277,6 @@ class SkylineEngine:
             shards_visited=trace.shards_visited,
             shards_pruned=trace.shards_pruned,
             tombstone_fallback=trace.tombstone_fallback,
-            coalesced=trace.coalesced,
             result_size=k,
             predicted_io=plan.predicted_io(k),
         )
@@ -267,55 +295,14 @@ class SkylineEngine:
         """Execute a batch of reads, one result (with report) each.
 
         Requests are served in order through :meth:`query`, so every
-        report keeps its exact per-request ledger delta; repeated
-        rectangles still collapse onto the sharded backend's result cache
-        (the batch-level coalescing a raw ``SkylineService.query_many``
-        performs shows up here as cache hits from the second occurrence
-        on).  When batch throughput matters more than per-request
-        attribution, use :meth:`query_batch_shared`, which runs the whole
-        batch as one backend call (worklists, coalescing).
+        report keeps its exact per-request ledger delta; a repeated
+        rectangle is a result-cache hit on the sharded backend from its
+        second occurrence on.  When batch throughput matters more than
+        per-request attribution, use :meth:`query_batch_shared`, which
+        runs the whole batch as one backend call and answers identical
+        and nested rectangles from one execution.
         """
         return [self.query(request) for request in requests]
-
-    def _batch_results(
-        self,
-        reqs: List[QueryRequest],
-        plans: List[QueryPlan],
-        executed: List,
-    ) -> Tuple[List[QueryResult], int, float]:
-        """Per-request results of one executed batch (zero-block reports)."""
-        results: List[QueryResult] = []
-        total_k = 0
-        predicted = 0.0
-        for req, plan, (points, trace) in zip(reqs, plans, executed):
-            k = len(points)
-            total_k += k
-            predicted += plan.predicted_io(k)
-            page, next_cursor = _paginate(points, req.cursor, req.limit)
-            results.append(
-                QueryResult(
-                    points=page,
-                    total_results=k,
-                    next_cursor=next_cursor,
-                    plan=plan,
-                    report=ExecutionReport(
-                        backend=self.backend.name,
-                        kind=KIND_QUERY,
-                        variant=req.variant,
-                        structure=plan.structure,
-                        reads=0,
-                        writes=0,
-                        cache_hit=trace.cache_hit,
-                        shards_visited=trace.shards_visited,
-                        shards_pruned=trace.shards_pruned,
-                        tombstone_fallback=trace.tombstone_fallback,
-                        coalesced=trace.coalesced,
-                        result_size=k,
-                        predicted_io=plan.predicted_io(k),
-                    ),
-                )
-            )
-        return results, total_k, predicted
 
     def query_batch_shared(
         self, requests: Sequence[QueryLike]
@@ -323,17 +310,24 @@ class SkylineEngine:
         """Execute a batch of reads as one backend call; safe for
         snapshot-concurrent callers.
 
-        Unlike :meth:`query_many`, the whole batch runs through the
-        backend's *native* batch executor, so per-shard worklist grouping
-        and in-batch duplicate coalescing apply.  The trade-off is
-        attribution granularity: a batch's ledger delta cannot be split
-        per request, so each per-request report carries its trace flags
-        with zero blocks and the returned *batch report* carries the
-        blocks -- counted once in :meth:`attributed_io`, so the
-        accounting identity still holds.  Pagination (``limit``/
-        ``cursor``) applies per request as usual.  A batch runs
-        cache-bypassing iff any request asks for
+        The one place a batch's reads share work, on either backend:
+        identical rectangles share one execution, and a rectangle inside
+        another with the same ``x_hi`` and ``y_hi`` filters that one's
+        answer (:func:`_answered_by`).  Nothing writes during the call,
+        so the rectangle alone decides sharing, with no
+        ``(uid, write_version)`` scope.  The rest execute in batch order
+        through the backend's native batch executor (per-shard
+        worklists); pagination then applies per request to its full
+        answer.  A batch runs cache-bypassing iff any request asks for
         ``consistency="fresh"``.
+
+        A batch's ledger delta cannot be split per request, so each
+        per-request report carries zero blocks, its own plan's shard
+        fan-out, and ``coalesced``/``coalesce_fanin`` plus the
+        ``cache_hit``/``tombstone_fallback`` flags of the execution that
+        answered it; the returned *batch report* carries the blocks --
+        counted once in :meth:`attributed_io`, so the accounting
+        identity still holds.
 
         Any number of overlapping calls may execute concurrently,
         provided no write runs beside them -- the serving tier's
@@ -359,6 +353,8 @@ class SkylineEngine:
             "fresh" if any(r.consistency == "fresh" for r in reqs) else "cached"
         )
         plans = [self.backend.plan(r) for r in reqs]
+        answered_by = _answered_by([r.rect for r in reqs])
+        leaders = [i for i, leader in enumerate(answered_by) if leader == i]
         with self._books:
             if self._shared_readers == 0:
                 self._san_pre()
@@ -367,15 +363,52 @@ class SkylineEngine:
         try:
             # repro: calls(ShardedServiceBackend.execute_many)
             executed = self.backend.execute_many(
-                [r.rect for r in reqs], consistency
+                [reqs[i].rect for i in leaders], consistency
             )
+            answers = dict(zip(leaders, executed))
+            fanin = Counter(answered_by)
+            results: List[QueryResult] = []
+            total_k = 0
+            predicted = 0.0
+            for i, (req, plan) in enumerate(zip(reqs, plans)):
+                leader = answered_by[i]
+                points, trace = answers[leader]
+                if leader != i:
+                    points = req.rect.filter(points)
+                k = len(points)
+                total_k += k
+                predicted += plan.predicted_io(k)
+                page, next_cursor = _paginate(points, req.cursor, req.limit)
+                results.append(
+                    QueryResult(
+                        points=page,
+                        total_results=k,
+                        next_cursor=next_cursor,
+                        plan=plan,
+                        report=ExecutionReport(
+                            backend=self.backend.name,
+                            kind=KIND_QUERY,
+                            variant=req.variant,
+                            structure=plan.structure,
+                            reads=0,
+                            writes=0,
+                            cache_hit=trace.cache_hit,
+                            shards_visited=plan.shards_visited,
+                            shards_pruned=plan.shards_pruned,
+                            tombstone_fallback=trace.tombstone_fallback,
+                            coalesced=leader != i,
+                            coalesce_fanin=fanin[leader],
+                            result_size=k,
+                            predicted_io=plan.predicted_io(k),
+                        ),
+                    )
+                )
         except BaseException:
             with self._books:
                 self._shared_readers -= 1
                 if self._shared_readers == 0:
                     self._group_before = None
             raise
-        results, total_k, predicted = self._batch_results(reqs, plans, executed)
         with self._books:
             self._shared_readers -= 1
             delta: Optional[IOSnapshot] = None

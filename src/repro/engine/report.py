@@ -61,10 +61,15 @@ class ExecutionReport:
         visited shard to rescan its resident points instead of using its
         static structure.
     coalesced:
-        Whether this request was a duplicate answered from another
-        request's computation within the same batch (the service's
-        in-batch coalescing; then ``blocks`` is typically 0).  Always
+        Whether another request's execution in the same
+        :meth:`~repro.engine.SkylineEngine.query_batch_shared` batch
+        answered this one: an identical rectangle, or one nested inside
+        it with the same top-right corner.  ``cache_hit`` and
+        ``tombstone_fallback`` then describe that execution.  Always
         ``False`` for a request executed on its own.
+    coalesce_fanin:
+        How many requests of the batch the computation that answered
+        this one answered, itself included (1 = it ran alone).
     result_size:
         ``k`` -- the full result size before pagination.
     predicted_io:
@@ -83,6 +88,7 @@ class ExecutionReport:
     shards_pruned: int = 0
     tombstone_fallback: bool = False
     coalesced: bool = False
+    coalesce_fanin: int = 1
     result_size: int = 0
     predicted_io: Optional[float] = None
     maintenance_blocks: int = 0

@@ -30,6 +30,16 @@ OP_INSERT = "insert"
 OP_DELETE = "delete"
 
 
+def _check_page_length(name: str, value: object) -> None:
+    """A page length must be an ``int`` (not a ``bool``) of at least 1:
+    anything else would reach pagination only after the query charged
+    its I/O, or page by a rounded or infinite length."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class QueryRequest:
     """One range-skyline read.
@@ -40,9 +50,9 @@ class QueryRequest:
         The (possibly unbounded) query rectangle.  Its Figure-2 variant is
         derived, never supplied: see :attr:`variant`.
     limit:
-        Maximum number of points to return (``None`` = all).  Results are
-        in increasing x-order, so a truncated page is a prefix and the
-        response carries a cursor for the rest.
+        Maximum number of points to return: ``None`` (all) or an ``int``
+        of at least 1.  Results are in increasing x-order, so a truncated
+        page is a prefix and the response carries a cursor for the rest.
     cursor:
         Resume token from a previous page: only points with ``x`` strictly
         greater than the cursor are returned.  Pass the previous
@@ -58,8 +68,8 @@ class QueryRequest:
     consistency: str = "cached"
 
     def __post_init__(self) -> None:
-        if self.limit is not None and self.limit < 1:
-            raise ValueError(f"limit must be >= 1, got {self.limit}")
+        if self.limit is not None:
+            _check_page_length("limit", self.limit)
         if self.cursor is not None and math.isnan(self.cursor):
             raise ValueError("cursor must not be NaN")
         if self.consistency not in CONSISTENCY_LEVELS:
@@ -123,7 +133,8 @@ class StreamRequest:
     rect:
         The query rectangle the snapshot answers.
     page_size:
-        Points per :class:`~repro.engine.report.StreamPage`.
+        Points per :class:`~repro.engine.report.StreamPage`: an ``int`` of
+        at least 1.
     consistency:
         Passed to the one snapshot-pinning query (``"cached"`` /
         ``"fresh"``, see :data:`CONSISTENCY_LEVELS`).
@@ -134,8 +145,7 @@ class StreamRequest:
     consistency: str = "cached"
 
     def __post_init__(self) -> None:
-        if self.page_size < 1:
-            raise ValueError(f"page_size must be >= 1, got {self.page_size}")
+        _check_page_length("page_size", self.page_size)
         if self.consistency not in CONSISTENCY_LEVELS:
             raise ValueError(
                 f"consistency must be one of {CONSISTENCY_LEVELS}, "

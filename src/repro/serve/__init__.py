@@ -2,10 +2,11 @@
 
 The engine answers one caller at a time; this package turns it into a
 service for many.  :class:`SkylineServer` accepts submissions from sync
-callers and asyncio coroutines, gathers reads within a small window,
-coalesces identical requests across callers onto one computation, runs
-each batch's per-shard worklists on persistent uid-keyed workers
-(:class:`ShardWorkerPool`), serializes writes on a dedicated lane, and
+callers and asyncio coroutines, gathers reads within a small window
+into one engine batch (where identical and nested rectangles across
+callers share one computation), runs each batch's per-shard worklists on
+persistent uid-keyed workers (:class:`ShardWorkerPool`), serializes
+writes on a dedicated lane, and
 applies admission control -- bounded queues with block or shed
 backpressure plus per-request deadlines -- so tail latency stays bounded
 past saturation.  Every response pairs the engine's block-exact

@@ -22,27 +22,24 @@ class ServerConfig:
     Attributes
     ----------
     gather_window:
-        Cross-caller coalescing window, in seconds, and the one bound on
-        how long a read waits for company.  After the dispatcher pulls the
-        first pending read it keeps gathering submissions for at most this
-        long (or until ``max_batch``), so concurrent callers hitting the
-        service within one window are served as *one* batch and duplicate
-        rectangles among them execute once.  The wait is arrival-aware:
-        the dispatcher keeps an EWMA of read inter-arrival gaps and waits
-        only while that mean gap is no longer than the window (or before
-        any estimate exists).  When reads arrive further apart, no company
-        can come within the window, so it drains whatever is already
-        queued and dispatches at once.  ``0`` never waits but still drains
-        the queue (burst coalescing).  ``describe()`` reports the window
-        in effect and the EWMA.
+        Read gathering window, in seconds, and the one bound on how long
+        a read waits for company.  After the dispatcher pulls the first
+        pending read it keeps gathering submissions for at most this long
+        (or until ``max_batch``), so concurrent callers hitting the
+        service within one window are served as *one*
+        :meth:`~repro.engine.SkylineEngine.query_batch_shared` call, where
+        identical and nested rectangles among them share one execution.
+        The wait is arrival-aware: the dispatcher keeps an EWMA of read
+        inter-arrival gaps and waits only while that mean gap is no
+        longer than the window (or before any estimate exists).  When
+        reads arrive further apart, no company can come within the
+        window, so it drains whatever is already queued and dispatches at
+        once.  ``0`` never waits but still drains the queue into one
+        batch.  ``describe()`` reports the window in effect and the EWMA.
     max_batch:
         Upper bound on the submissions gathered into one read batch.
-    coalesce:
-        Whether identical requests within a gathered batch are collapsed
-        onto one execution (the leader computes, every follower shares the
-        answer; fan-in is reported per response).  Off, every gathered
-        submission executes individually -- the uncoalesced baseline
-        ``benchmarks/bench_serving.py`` measures against.
+        ``1`` executes every submission alone -- the uncoalesced
+        baseline ``benchmarks/bench_serving.py`` measures against.
     max_read_queue:
         Admission-control bound on the read intake queue (the write
         queue's is :data:`MAX_WRITE_QUEUE`).  A full queue triggers the
@@ -68,13 +65,12 @@ class ServerConfig:
         server's read/write gate), so gathering the next window overlaps
         executing the previous one.  The server silently degrades the
         effective value to 1 when the backend has no uid-keyed shard
-        worker pool or in-batch coalescing is off -- the only
-        configurations whose ledger charges are single-thread per shard.
+        worker pool, the only thing that keeps each shard's ledger
+        charges on one thread while batches overlap.
     """
 
     gather_window: float = 0.002
     max_batch: int = 64
-    coalesce: bool = True
     max_read_queue: int = 1024
     backpressure: str = "block"
     submit_timeout: Optional[float] = None

@@ -2,10 +2,10 @@
 
 One :class:`ServerMetrics` instance aggregates everything the serving
 tier observes -- counters (served / shed / timed out / coalesced),
-bounded reservoirs of recent latencies, and gauges (queue depth,
-inflight).  All mutators take an internal lock: the dispatcher and the
-writer lane update concurrently, and ``describe()`` may be called from
-any caller thread.
+bounded reservoirs of recent latencies, and queue-depth gauges.  All
+mutators take an internal lock: the dispatcher and the writer lane
+update concurrently, and ``describe()`` may be called from any caller
+thread.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ class ServerMetrics:
         self.executed_reads = 0
         self.max_read_queue_depth = 0
         self.max_write_queue_depth = 0
-        self.max_inflight = 0
         self._latencies: Deque[float] = deque(maxlen=LATENCY_SAMPLES)
         self._queue_waits: Deque[float] = deque(maxlen=LATENCY_SAMPLES)
 
@@ -83,14 +82,13 @@ class ServerMetrics:
             self.timed_out += 1
             self._queue_waits.append(queue_wait_s)
 
-    def note_read_batch(
-        self, gathered: int, executed: int, inflight: int
-    ) -> None:
+    def note_read_batch(self, gathered: int, executed: int) -> None:
+        """One read batch: ``gathered`` submissions answered by
+        ``executed`` executions (the rest shared one of them)."""
         with self._lock:
             self.read_batches += 1
             self.executed_reads += executed
             self.coalesced_followers += gathered - executed
-            self.max_inflight = max(self.max_inflight, inflight)
 
     def note_served(
         self, lane_write: bool, queue_wait_s: float, latency_s: float
@@ -141,5 +139,4 @@ class ServerMetrics:
             "queue_wait_p99_s": round(percentile(waits, 0.99), 6),
             "max_read_queue_depth": self.max_read_queue_depth,
             "max_write_queue_depth": self.max_write_queue_depth,
-            "max_inflight": self.max_inflight,
         }

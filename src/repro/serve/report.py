@@ -39,20 +39,21 @@ class ServingReport:
         Seconds between submission and the start of execution -- the
         admission/backpressure cost the bounded queues keep bounded.
     service_s:
-        Seconds the executing call took.  For a coalesced read this is
-        the *batch's* execution time, shared by every request it served.
+        Seconds the executing call took.  For a read this is the
+        *batch's* execution time, shared by every request it served.
     coalesce_fanin:
         How many concurrent submissions this execution answered (1 = the
         request ran alone; ``n > 1`` means ``n - 1`` other callers were
-        served from the same computation).
+        served from the same computation) -- the engine report's
+        ``coalesce_fanin``.
     batch_size:
         Submissions gathered into the executing batch (reads; 1 on the
         writer lane).
     batch_blocks:
-        The executing batch's block-transfer ledger delta.  On a
-        coalesced read the per-request ``ExecutionReport`` carries zero
-        blocks (the batch cannot be split per request); this field keeps
-        the shared charge visible next to each response.
+        The executing batch's block-transfer ledger delta.  A read's
+        per-request ``ExecutionReport`` carries zero blocks (the batch
+        cannot be split per request); this field keeps the shared charge
+        visible next to each response.
     shed:
         Admission control rejected the submission (it never executed).
     timed_out:

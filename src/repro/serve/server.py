@@ -3,10 +3,11 @@
 The engine serves one caller at a time; this server turns it into a
 front end for many.  Submissions (sync callers and asyncio coroutines
 alike) land on bounded intake queues; a single **dispatcher** thread
-gathers reads and executes each gathered batch -- duplicate requests
-across callers coalesced onto one computation -- through the engine's
-native batch executor, whose per-shard worklists run on the persistent
-uid-keyed :class:`~repro.serve.workers.ShardWorkerPool`;
+gathers reads and hands each gathered batch to one
+:meth:`~repro.engine.SkylineEngine.query_batch_shared` call, which
+shares one execution among identical and nested rectangles across
+callers and runs its per-shard worklists on the persistent uid-keyed
+:class:`~repro.serve.workers.ShardWorkerPool`;
 a single **writer lane** thread serializes updates, so writes interleave
 safely with read batches (the two lanes exclude each other on one engine
 lock, and nothing else ever touches the engine).  Admission control is a
@@ -38,8 +39,9 @@ Every response pairs the engine's per-request
 :class:`~repro.serve.report.ServingReport` (queue wait, service time,
 coalesce fan-in, shed/timeout flags), and :meth:`SkylineServer.describe`
 exposes the server-level picture: throughput, p50/p95/p99 latency, queue
-depths, inflight, shed rate, worker-pool state, and the engine's ledger
-partition underneath.
+depths, shed rate, worker-pool state, and the engine's ledger partition
+underneath.  The server keeps no sharing logic of its own: fan-in and
+executed counts are read off the engine's per-request reports.
 
 Consistency model: a read batch executes against the state left by every
 write that completed before the batch started; a caller that awaits its
@@ -51,7 +53,6 @@ exactly as in any networked service.
 from __future__ import annotations
 
 import asyncio
-import math
 import queue
 import threading
 import time
@@ -63,7 +64,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Tuple,
     Union,
 )
 
@@ -73,12 +73,7 @@ from repro.analysis.locks import tracked_lock, tracked_rw_gate
 from repro.core.point import Point
 from repro.core.queries import RangeQuery
 from repro.engine.engine import QueryLike, SkylineEngine
-from repro.engine.report import (
-    KIND_QUERY,
-    ExecutionReport,
-    QueryResult,
-    SkylineDelta,
-)
+from repro.engine.report import SkylineDelta
 from repro.engine.requests import QueryRequest, SubscribeRequest, UpdateRequest
 from repro.serve.config import MAX_WRITE_QUEUE, ServerConfig
 from repro.serve.errors import (
@@ -259,7 +254,7 @@ class ServerSubscription:
 
 
 class SkylineServer:
-    """A bounded-queue, batch-coalescing front end over a
+    """A bounded-queue, batch-gathering front end over a
     :class:`~repro.engine.SkylineEngine`.
 
     Parameters
@@ -306,10 +301,9 @@ class SkylineServer:
         self._gate = tracked_rw_gate("serve.server.engine")  # repro: guards(engine)
         # Effective read concurrency: batches may only overlap when the
         # uid-keyed worker pool pins every shard ledger to one worker
-        # thread, and the coalesced batch path is in use (the singles
-        # path drives the engine's exclusive per-query accounting).
+        # thread.
         workers = self.config.read_concurrency
-        if self.pool is None or not self.config.coalesce:
+        if self.pool is None:
             workers = 1
         self._read_workers = workers
         self._read_executor: Optional[ThreadPoolExecutor] = (
@@ -621,7 +615,7 @@ class SkylineServer:
                 )
 
     # ------------------------------------------------------------------
-    # Read lane: gather -> coalesce -> batch-execute -> fan out
+    # Read lane: gather -> batch-execute -> fan out
     # ------------------------------------------------------------------
     def current_gather_window(self) -> float:
         """The gather window now in effect: ``config.gather_window`` while
@@ -713,194 +707,42 @@ class SkylineServer:
         )
         return True
 
-    @staticmethod
-    def _filter_servable(follower: Request, leader: Request) -> bool:
-        """Whether ``follower``'s answer is exactly ``leader``'s answer
-        filtered to ``follower.rect``.
-
-        True when the two rectangles share the dominant (upper-right)
-        corner and the follower's is contained: any dominator of a
-        follower-rectangle point inside the leader's rectangle has both
-        coordinates at least the dominated point's, so it lies inside the
-        follower's rectangle too -- membership filtering then drops no
-        skyline point and resurrects none.  Pagination must be off on
-        both sides (a truncated leader page cannot be filtered exactly),
-        and a ``fresh`` follower only follows a ``fresh`` leader.
-        """
-        if not isinstance(follower, QueryRequest):
-            return False
-        if not isinstance(leader, QueryRequest):
-            return False
-        if follower.limit is not None or follower.cursor is not None:
-            return False
-        if leader.limit is not None or leader.cursor is not None:
-            return False
-        if follower.consistency == "fresh" and leader.consistency != "fresh":
-            return False
-        fr, lr = follower.rect, leader.rect
-        return (
-            fr.x_hi == lr.x_hi
-            and fr.y_hi == lr.y_hi
-            and fr.x_lo >= lr.x_lo
-            and fr.y_lo >= lr.y_lo
-        )
-
-    def _plan_containment(
-        self, order: List[Request]
-    ) -> "Tuple[List[Request], Dict[Request, Request]]":
-        """Split the distinct gathered requests into executed leaders and
-        containment followers (``follower -> leader``).
-
-        Candidates are ranked so that every potential leader precedes its
-        followers -- a leader's low corner is componentwise <= the
-        follower's, and among identical rectangles only a ``fresh``
-        request can lead a ``cached`` one -- then assigned greedily.
-        Servability is transitive (shared dominant corner, nested low
-        corners, ``fresh`` propagates), so whenever *any* leader exists
-        for a request, one of the already-executed candidates qualifies.
-        """
-        followers: Dict[Request, Request] = {}
-        leaders: List[Request] = []
-        ranked = sorted(
-            order,
-            key=lambda r: (
-                r.rect.x_lo,
-                r.rect.y_lo,
-                getattr(r, "consistency", "") != "fresh",
-            )
-            if isinstance(r, QueryRequest)
-            else (math.inf, math.inf, True),
-        )
-        for request in ranked:
-            leader = next(
-                (b for b in leaders if self._filter_servable(request, b)),
-                None,
-            )
-            if leader is None:
-                leaders.append(request)
-            else:
-                followers[request] = leader
-        # Hand the engine the leaders in original gather order.
-        executed = [r for r in order if r not in followers]
-        return executed, followers
-
-    def _follower_result(
-        self, request: Request, leader: QueryResult
-    ) -> QueryResult:
-        """A containment follower's exact answer, filtered out of its
-        leader's; carries a zero-block coalesced report plus the
-        follower's own plan."""
-        assert isinstance(request, QueryRequest)
-        points = [p for p in leader.points if request.rect.contains(p)]
-        # repro: unguarded-call(runs inside _serve_read_batch's read gate; explain is pure planning)
-        plan = self.engine.explain(request)
-        k = len(points)
-        return QueryResult(
-            points=points,
-            total_results=k,
-            next_cursor=None,
-            plan=plan,
-            report=ExecutionReport(
-                backend=leader.report.backend,
-                kind=KIND_QUERY,
-                variant=request.variant,
-                structure=plan.structure,
-                reads=0,
-                writes=0,
-                cache_hit=leader.report.cache_hit,
-                coalesced=True,
-                result_size=k,
-                predicted_io=plan.predicted_io(k),
-            ),
-        )
-
     def _serve_read_batch(self, batch: List[_Submission]) -> None:
         now = time.perf_counter()
         live = [s for s in batch if not self._expire(s, now, LANE_READ)]
         if not live:
             return
-        # Cross-caller coalescing: identical requests (frozen dataclasses,
-        # hashable) collapse onto one leader execution per gather window,
-        # and a rectangle contained in another gathered rectangle with the
-        # same dominant corner shares the larger computation -- it is
-        # served by filtering the leader's answer instead of executing.
-        groups: Dict[Request, List[_Submission]] = {}
-        order: List[Request] = []
-        followers: Dict[Request, Request] = {}
-        executed_reqs: List[Request] = []
-        if self.config.coalesce:
-            for submission in live:
-                bucket = groups.setdefault(submission.request, [])
-                if not bucket:
-                    order.append(submission.request)
-                bucket.append(submission)
-            executed_reqs, followers = self._plan_containment(order)
         started = time.perf_counter()
         try:
             with self._gate.read():
                 pinned = self._writes_applied
-                if self.config.coalesce:
-                    # repro: calls(SkylineEngine.query_batch_shared)
-                    results, batch_report = self.engine.query_batch_shared(
-                        executed_reqs
-                    )
-                    blocks = batch_report.blocks
-                    by_request = dict(zip(executed_reqs, results))
-                    for request, leader_req in followers.items():
-                        by_request[request] = self._follower_result(
-                            request, by_request[leader_req]
-                        )
-                else:
-                    # repro: calls(SkylineEngine.query)
-                    singles = [self.engine.query(s.request) for s in live]
+                # The engine shares one execution among identical and
+                # nested rectangles; each result's report says which.
+                # repro: calls(SkylineEngine.query_batch_shared)
+                results, batch_report = self.engine.query_batch_shared(
+                    [s.request for s in live]
+                )
         except BaseException as exc:
             for submission in live:
                 submission.future.set_exception(exc)
             return
         service_s = time.perf_counter() - started
-        if self.config.coalesce:
-            executed = len(executed_reqs)
-            self.metrics.note_read_batch(len(live), executed, len(live))
-            # Fan-in of one execution: the leader's identical twins plus
-            # every containment follower's group, so each response states
-            # how many submissions its computation actually answered.
-            fanin_by_leader = {r: len(groups[r]) for r in executed_reqs}
-            for request, leader_req in followers.items():
-                fanin_by_leader[leader_req] += len(groups[request])
-            for request in order:
-                result = by_request[request]
-                members = groups[request]
-                fanin = fanin_by_leader[followers.get(request, request)]
-                for submission in members:
-                    serving = ServingReport(
-                        lane=LANE_READ,
-                        queue_wait_s=started - submission.enqueued_at,
-                        service_s=service_s,
-                        coalesce_fanin=fanin,
-                        batch_size=len(live),
-                        batch_blocks=blocks,
-                        pinned_version=pinned,
-                    )
-                    self.metrics.note_served(
-                        False, serving.queue_wait_s, serving.latency_s
-                    )
-                    submission.future.set_result(ServedQuery(result, serving))
-        else:
-            self.metrics.note_read_batch(len(live), len(live), len(live))
-            for submission, result in zip(live, singles):
-                serving = ServingReport(
-                    lane=LANE_READ,
-                    queue_wait_s=started - submission.enqueued_at,
-                    service_s=service_s,
-                    coalesce_fanin=1,
-                    batch_size=len(live),
-                    batch_blocks=result.report.blocks,
-                    pinned_version=pinned,
-                )
-                self.metrics.note_served(
-                    False, serving.queue_wait_s, serving.latency_s
-                )
-                submission.future.set_result(ServedQuery(result, serving))
+        executed = sum(1 for result in results if not result.report.coalesced)
+        self.metrics.note_read_batch(len(live), executed)
+        for submission, result in zip(live, results):
+            serving = ServingReport(
+                lane=LANE_READ,
+                queue_wait_s=started - submission.enqueued_at,
+                service_s=service_s,
+                coalesce_fanin=result.report.coalesce_fanin,
+                batch_size=len(live),
+                batch_blocks=batch_report.blocks,
+                pinned_version=pinned,
+            )
+            self.metrics.note_served(
+                False, serving.queue_wait_s, serving.latency_s
+            )
+            submission.future.set_result(ServedQuery(result, serving))
 
     # ------------------------------------------------------------------
     # Write lane: one thread, strictly serialized
@@ -961,7 +803,6 @@ class SkylineServer:
                 "configured_gather_window_s": self.config.gather_window,
                 "arrival_ewma_s": self._arrival_ewma,
                 "max_batch": self.config.max_batch,
-                "coalesce": self.config.coalesce,
                 "read_concurrency": self._read_workers,
                 "writes_applied": self._writes_applied,
                 "backpressure": self.config.backpressure,

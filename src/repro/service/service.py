@@ -152,8 +152,7 @@ class QueryExecutionTrace:
 
     ``shard_ids`` are the shards the router selected (the rest were
     pruned); ``cache_hit`` means the result came straight from the result
-    cache; ``coalesced`` marks a duplicate served from its in-batch
-    leader's answer; ``tombstone_fallback`` says at least one selected
+    cache; ``tombstone_fallback`` says at least one selected
     shard or level component rescanned its resident points because a
     tombstone invalidated its static answer.  Consumers such as
     :class:`repro.engine.ShardedServiceBackend` read these instead of
@@ -162,7 +161,6 @@ class QueryExecutionTrace:
 
     shard_ids: Tuple[int, ...]
     cache_hit: bool = False
-    coalesced: bool = False
     tombstone_fallback: bool = False
 
 
@@ -217,8 +215,6 @@ class SkylineService:
         # operations since the last store reclaim, and reclaims triggered.
         self._topology_ops_since_reclaim = 0
         self.auto_reclaims = 0
-        # Duplicate queries coalesced within batches (computed once each).
-        self.coalesced = 0
         # Build generation: seeds every shard's epoch so cache keys can
         # never collide across compactions.
         self._generation = 0
@@ -231,9 +227,8 @@ class SkylineService:
         # Overlay lock: the one mutable-state lock of the read path.
         # Snapshot-concurrent read batches (the serving tier's read gate)
         # run query_many_traced on several threads at once; everything
-        # those calls *mutate* -- the result cache's LRU order, the
-        # coalesced counter, level-component ledger charges -- happens
-        # under this lock, whose acquisitions are also the sync points
+        # those calls *mutate* -- the result cache's LRU order and
+        # level-component ledger charges -- happens under this lock, whose acquisitions are also the sync points
         # the ledger-ownership sanitizer requires between cross-thread
         # charges.  Shard-level charges need no lock: the persistent
         # worker pool pins each shard uid to one worker thread.
@@ -1215,12 +1210,13 @@ class SkylineService:
     ) -> List[List[Point]]:
         """Answer a batch; ``result[i]`` answers ``queries[i]``.
 
-        Cache hits are served immediately and duplicate queries within the
-        batch are coalesced (computed once, copied to every occurrence);
-        the remaining misses are regrouped into per-shard worklists
-        (sorted by variant and x for buffer-pool locality), executed by
-        :attr:`batch_executor`, and merged per query with the level
-        components and the pending memtable.
+        Cache hits are served immediately; every miss is regrouped into
+        per-shard worklists (sorted by variant and x for buffer-pool
+        locality), executed by :attr:`batch_executor`, and merged per
+        query with the level components and the pending memtable.  A
+        rectangle repeated within one batch executes once per occurrence:
+        sharing within a batch is
+        :meth:`repro.engine.SkylineEngine.query_batch_shared`'s job.
         :meth:`query_many_traced` also returns how each query was served.
         """
         return self.query_many_traced(queries, use_cache)[0]
@@ -1230,20 +1226,18 @@ class SkylineService:
     ) -> Tuple[List[List[Point]], List[QueryExecutionTrace]]:
         """:meth:`query_many`, returning ``(results, traces)``: one
         :class:`QueryExecutionTrace` per query (routing, cache hit,
-        coalescing, tombstone fallback), aligned with the results.
+        tombstone fallback), aligned with the results.
 
         Safe for concurrent read-only callers (no writer may run beside
         them -- the serving tier's read/write gate guarantees that):
         nothing of the batch state lands on the service instance, and the
         shared structures a call *does* mutate -- the result cache's LRU
-        order, the ``coalesced`` counter, level-component ledgers on
-        tombstone fallbacks -- are serialized under the overlay lock.
+        order and level-component ledgers on tombstone fallbacks -- are
+        serialized under the overlay lock.
         """
         results: List[Optional[List[Point]]] = [None] * len(queries)
         traces: List[Optional[QueryExecutionTrace]] = [None] * len(queries)
         plan: Dict[int, Tuple[Tuple, List[int]]] = {}
-        leaders: Dict[Tuple, int] = {}
-        followers: List[Tuple[int, int]] = []
         misses: List[Tuple[int, RangeQuery]] = []
         for position, query in enumerate(queries):
             shard_ids = self.router.shards_for(query)
@@ -1265,10 +1259,6 @@ class SkylineService:
                     shard_ids=tuple(shard_ids), cache_hit=True
                 )
                 continue
-            if key in leaders:
-                followers.append((position, leaders[key]))
-                continue
-            leaders[key] = position
             plan[position] = (key, shard_ids)
             misses.append((position, query))
         if misses:
@@ -1333,14 +1323,6 @@ class SkylineService:
                     shard_ids=tuple(shard_ids),
                     tombstone_fallback=fallback,
                 )
-        if followers:
-            with self._overlay:
-                self.coalesced += len(followers)
-        for position, leader_position in followers:
-            results[position] = list(results[leader_position])  # type: ignore[arg-type]
-            leader_trace = traces[leader_position]
-            assert leader_trace is not None
-            traces[position] = dataclasses.replace(leader_trace, coalesced=True)
         return results, traces  # type: ignore[return-value]
 
     def _shard_query(self, sid: int, query: RangeQuery) -> Tuple[List[Point], bool]:
@@ -1762,7 +1744,6 @@ class SkylineService:
             "cache_entries": len(self.cache),
             "cache_hit_rate": round(self.cache.hit_rate(), 3),
             "result_cache": self.cache.describe(),
-            "coalesced": self.coalesced,
             "io_total": self.io_total(),
             "blocks_in_use": self.blocks_in_use(),
             "durability": self.config.durability,

@@ -115,6 +115,30 @@ def test_delete_preserves_ident_through_swapped_right_open():
         assert not any((p.x, p.y) == (50, 50) for p in index.points)
 
 
+def test_dynamic_index_rejects_coordinate_collisions_before_any_io():
+    points = random_points(120, 2000, 21)
+    storage = make_storage()
+    with pytest.raises(ValueError):
+        RangeSkylineIndex(storage, points + [Point(points[0].x, 2000.5, 900)], dynamic=True)
+    assert storage.io_total() == 0
+    index = RangeSkylineIndex(make_storage(), points, dynamic=True)
+    before = index.io_total()
+    victim = points[3]
+    for bad in (Point(victim.x, 2000.5, 901), Point(2000.5, victim.y, 902)):
+        with pytest.raises(ValueError):
+            index.insert(bad)
+    assert index.io_total() == before
+    assert len(index) == 120
+    # A delete frees its coordinates for the next insert.
+    assert index.delete(victim)
+    moved = Point(victim.x, 2000.5, 903)
+    index.insert(moved)
+    live = [p for p in points if p is not victim] + [moved]
+    for query in all_variant_queries(2000, 5, 22):
+        expected = sorted((p.x, p.y) for p in range_skyline(live, query))
+        assert sorted((p.x, p.y) for p in index.query(query)) == expected
+
+
 def test_skyline_and_empty_index():
     points = random_points(80, 1000, 5)
     index = RangeSkylineIndex(make_storage(), points)

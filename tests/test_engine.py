@@ -25,8 +25,10 @@ from repro.engine import (
     BOUND_DYNAMIC_EASY,
     BOUND_FOUR_SIDED,
     BOUND_STATIC_EASY,
+    CONSISTENCY_LEVELS,
     QueryRequest,
     SkylineEngine,
+    StreamRequest,
     UpdateRequest,
 )
 from repro.service import ServiceConfig
@@ -385,9 +387,87 @@ def test_query_batch_coalesces_duplicates_on_the_service():
     results, _ = sharded.query_batch_shared(
         [QueryRequest(rect, consistency="fresh")] * 4
     )
-    service = sharded.backend.service
-    assert service.coalesced >= 3  # duplicates computed once
+    # Duplicates computed once: the first executes, the rest share it.
+    assert [r.report.coalesced for r in results] == [False, True, True, True]
+    assert all(r.report.coalesce_fanin == 4 for r in results)
     assert all(canon(r.points) == canon(results[0].points) for r in results)
+
+
+@st.composite
+def shared_batches(draw):
+    """A batch mixing identical rectangles, nested ones that share the
+    top-right corner, nested ones that do not, pagination and both
+    consistency levels, over make_points' 10k universe."""
+    def side(lo, hi):
+        return draw(st.floats(min_value=lo, max_value=hi))
+
+    def base():
+        x_lo = draw(st.sampled_from([-math.inf, side(0, 10_000)]))
+        x_hi = draw(st.sampled_from([math.inf, side(max(0, x_lo), 10_000)]))
+        y_lo = draw(st.sampled_from([-math.inf, side(0, 10_000)]))
+        y_hi = draw(st.sampled_from([math.inf, side(max(0, y_lo), 10_000)]))
+        return RangeQuery(x_lo, x_hi, y_lo, y_hi)
+
+    def inner(lo, hi):
+        return side(max(0, lo), min(10_000, hi))
+
+    bases = [base() for _ in range(draw(st.integers(1, 3)))]
+    batch = []
+    for _ in range(draw(st.integers(1, 10))):
+        outer = draw(st.sampled_from(bases))
+        kind = draw(st.sampled_from(["same", "same-corner", "clipped"]))
+        if kind == "same":
+            rect = outer
+        elif kind == "same-corner":
+            rect = RangeQuery(
+                inner(outer.x_lo, outer.x_hi), outer.x_hi,
+                inner(outer.y_lo, outer.y_hi), outer.y_hi,
+            )
+        else:
+            x_lo = inner(outer.x_lo, outer.x_hi)
+            y_lo = inner(outer.y_lo, outer.y_hi)
+            rect = RangeQuery(
+                x_lo, inner(x_lo, outer.x_hi), y_lo, inner(y_lo, outer.y_hi)
+            )
+        batch.append(
+            QueryRequest(
+                rect,
+                limit=draw(st.none() | st.integers(1, 4)),
+                cursor=draw(st.none() | st.floats(0, 10_000)),
+                consistency=draw(st.sampled_from(CONSISTENCY_LEVELS)),
+            )
+        )
+    return batch
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch=shared_batches())
+def test_shared_batch_answers_each_request_like_a_lone_run(batch):
+    points = make_points(150)
+    for shared, lone in zip(make_engines(points), make_engines(points)):
+        shared.drop_caches()
+        before = shared.io_total()
+        results, batch_report = shared.query_batch_shared(batch)
+        lone_blocks = 0
+        for request, result in zip(batch, results):
+            lone.drop_caches()
+            alone = lone.query(request)
+            lone_blocks += alone.report.blocks
+            assert canon(result.points) == canon(alone.points)
+            assert result.total_results == alone.total_results
+            assert result.next_cursor == alone.next_cursor
+            assert (result.report.shards_visited, result.report.shards_pruned) == (
+                alone.report.shards_visited,
+                alone.report.shards_pruned,
+            )
+        # Sharing never costs more than running every request alone cold.
+        assert batch_report.blocks == shared.io_total() - before <= lone_blocks
+        leaders = [r.report for r in results if not r.report.coalesced]
+        assert sum(report.coalesce_fanin for report in leaders) == len(batch)
+        assert (
+            shared.attributed_io() + shared.maintenance_io()
+            == shared.io_total() - shared.build_io
+        )
 
 
 def test_engine_compact_charges_maintenance_not_requests():
@@ -523,6 +603,20 @@ def test_non_finite_inputs_are_rejected_before_any_io(bad, side, lo, span):
             service.insert(Point(*coords))
     assert footprint() == before
     assert len(engine) == 60
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    bad=st.floats(allow_nan=True, allow_infinity=True) | st.booleans(),
+)
+def test_non_integral_page_lengths_are_rejected_before_any_io(bad):
+    engine = SkylineEngine.sharded(make_points(60), shard_count=2, block_size=8)
+    before = engine.io_total()
+    with pytest.raises(TypeError):
+        engine.query(QueryRequest(RangeQuery(), limit=bad))
+    with pytest.raises(TypeError):
+        StreamRequest(RangeQuery(), page_size=bad)
+    assert engine.io_total() == before
 
 
 # ----------------------------------------------------------------------

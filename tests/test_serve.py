@@ -9,7 +9,7 @@ The acceptance properties:
   ``attributed + maintenance == total - build`` stays exact.
 * **Coalescing** -- identical requests submitted by many callers inside
   one gather window execute once (fan-in = submitters) and each caller
-  still gets the full answer; coalescing off serves the same answers.
+  still gets the full answer; ``max_batch=1`` serves the same answers.
 * **Admission control** -- the ``shed`` policy fails exactly the
   overflow with a typed :class:`Overloaded` carrying its
   :class:`ServingReport`; the ``block`` policy's ``submit_timeout``
@@ -176,6 +176,23 @@ def test_contained_rectangle_is_served_from_larger_computation():
         assert all(s.report.blocks == 0 for s in served[q])
 
 
+def test_nested_follower_reports_its_own_shard_fanout():
+    base = uniform_points(256, universe=100_000, seed=3)
+    engine = SkylineEngine.sharded(base, cache_capacity=0, **CFG)
+    big = RangeQuery(x_lo=1_000.0)
+    small = RangeQuery(x_lo=40_000.0, y_lo=20_000.0)  # same corner, fewer shards
+    plan = engine.explain(small)
+    assert (plan.shards_visited, plan.shards_pruned) == (3, 1)
+    server = SkylineServer(engine, start=False)
+    futures = [server.submit_query(small), server.submit_query(big)]
+    server.start()
+    follower, leader = [f.result(timeout=30) for f in futures]
+    server.stop()
+    assert follower.report.coalesced and not leader.report.coalesced
+    assert (follower.report.shards_visited, follower.report.shards_pruned) == (3, 1)
+    assert (leader.report.shards_visited, leader.report.shards_pruned) == (4, 0)
+
+
 def test_containment_requires_shared_dominant_corner():
     base = uniform_points(256, universe=100_000, seed=7)
     engine = SkylineEngine.sharded(base, cache_capacity=0, **CFG)
@@ -199,7 +216,7 @@ def test_containment_requires_shared_dominant_corner():
 def test_uncoalesced_mode_serves_same_answers():
     base = uniform_points(256, universe=100_000, seed=3)
     engine = SkylineEngine.sharded(base, cache_capacity=0, **CFG)
-    server = SkylineServer(engine, ServerConfig(coalesce=False), start=False)
+    server = SkylineServer(engine, ServerConfig(max_batch=1), start=False)
     q = RangeQuery(x_hi=40_000.0)
     futures = [server.submit_query(q) for _ in range(5)]
     server.start()

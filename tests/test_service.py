@@ -316,7 +316,6 @@ def test_batch_coalesces_duplicates_and_parallel_matches():
         assert [canon(r) for r in threaded.query_many(queries)] == expected
     finally:
         pool.close()
-    assert threaded.coalesced == serial.coalesced >= 3
 
 
 def test_tombstone_fallback_charges_io():
