@@ -1,16 +1,15 @@
-"""Hot path: columnar merge kernels and concurrent reads.
+"""Hot path: columnar merge kernels and closed-loop served reads.
 
-Claims (ISSUE 9 acceptance):
+Claims:
 
 * the **columnar merge kernels** answer identically to the per-object
   reference sweeps and run at least **2x faster** in wall-clock terms,
   while charging zero block transfers on either side (they are pure
   in-memory compute over resident candidates);
-* **snapshot-concurrent read batches** return the same answers and the
-  same engine block totals as the serial read discipline while serving
-  strictly **higher aggregate throughput**, and the engine's **ledger
-  partition** ``attributed + maintenance == total - build`` holds in
-  every cell.
+* **closed-loop reads** through the server's read lane are all served,
+  each answer equals ``range_skyline`` over the cell's points, and the
+  cell reports its throughput; the engine's **ledger partition**
+  ``attributed + maintenance == total - build`` holds in every cell.
 
 Run under pytest (full sweep) or standalone::
 

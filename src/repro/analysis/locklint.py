@@ -69,15 +69,7 @@ DEFAULT_SCOPE: Tuple[str, ...] = (
     "core",
 )
 
-TRACKED_FACTORIES = frozenset(
-    {"tracked_lock", "tracked_condition", "tracked_rw_gate"}
-)
-
-#: Side selectors of a :class:`repro.analysis.locks.ReadWriteGate`:
-#: ``with self._gate.read():`` / ``with self._gate.write():`` acquire the
-#: gate's single name (both sides share it -- the gate serializes its own
-#: transitions internally).
-GATE_SIDES = frozenset({"read", "write"})
+TRACKED_FACTORIES = frozenset({"tracked_lock", "tracked_condition"})
 RAW_LOCK_TYPES = frozenset({"Lock", "RLock", "Condition"})
 
 FuncKey = Tuple[str, Optional[str], str]  # (module, class or None, name)
@@ -353,16 +345,6 @@ class _BodyWalker(ast.NodeVisitor):
 
     # -- lock resolution ----------------------------------------------
     def _resolve_lock(self, expr: ast.expr) -> Optional[str]:
-        # A read/write gate side: `self._gate.read()` / `.write()` in a
-        # with-item acquires the gate's name.
-        if (
-            isinstance(expr, ast.Call)
-            and not expr.args
-            and not expr.keywords
-            and isinstance(expr.func, ast.Attribute)
-            and expr.func.attr in GATE_SIDES
-        ):
-            return self._resolve_lock(expr.func.value)
         if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
             if expr.value.id == "self":
                 name = self.lock_attrs.get((self.cls, expr.attr))

@@ -36,10 +36,8 @@ __all__ = [
     "LockOrderTracker",
     "TrackedLock",
     "TrackedCondition",
-    "ReadWriteGate",
     "tracked_lock",
     "tracked_condition",
-    "tracked_rw_gate",
     "install_tracker",
     "tracker",
 ]
@@ -252,101 +250,6 @@ class TrackedCondition:
         return f"TrackedCondition({self.name!r})"
 
 
-class _GateSide:
-    """Context manager for one side of a :class:`ReadWriteGate`."""
-
-    __slots__ = ("_gate", "_write")
-
-    def __init__(self, gate: "ReadWriteGate", write: bool) -> None:
-        self._gate = gate
-        self._write = write
-
-    def __enter__(self) -> "_GateSide":
-        if self._write:
-            self._gate._enter_write()
-        else:
-            self._gate._enter_read()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._write:
-            self._gate._exit_write()
-        else:
-            self._gate._exit_read()
-
-
-class ReadWriteGate:
-    """A write-preferring read/write gate on one :class:`TrackedCondition`.
-
-    ``with gate.read():`` admits any number of concurrent readers while
-    no writer is active or waiting; ``with gate.write():`` waits for the
-    gate to empty and then excludes everything.  The underlying condition
-    is held only while the reader count or writer flag flips -- never
-    across the guarded body -- so both sides acquire and release the same
-    single name: the gate adds no lock-order edges of its own, and every
-    transition is a tracked acquisition (hence a declared sync point for
-    the ledger-ownership sanitizer).  Write preference (readers also wait
-    while writers are *queued*) keeps a steady read stream from starving
-    the writer side.
-
-    The static pass (:mod:`repro.analysis.locklint`) treats
-    ``with gate.read():`` / ``with gate.write():`` as acquisitions of the
-    gate's name, so ``# repro: guards(<attr>)`` discipline and static
-    graph edges work exactly as for a plain :func:`tracked_lock`.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._cond = TrackedCondition(name)
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-
-    def read(self) -> _GateSide:
-        """Reader-side context manager (shared with other readers)."""
-        return _GateSide(self, write=False)
-
-    def write(self) -> _GateSide:
-        """Writer-side context manager (exclusive)."""
-        return _GateSide(self, write=True)
-
-    @property
-    def readers(self) -> int:
-        """Readers currently inside the gate (introspection for tests)."""
-        return self._readers
-
-    # -- transitions (the condition is held only inside these) ---------
-    def _enter_read(self) -> None:
-        with self._cond:
-            while self._writer_active or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
-
-    def _exit_read(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
-
-    def _enter_write(self) -> None:
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer_active or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer_active = True
-
-    def _exit_write(self) -> None:
-        with self._cond:
-            self._writer_active = False
-            self._cond.notify_all()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ReadWriteGate({self.name!r})"
-
-
 def tracked_lock(name: str) -> TrackedLock:
     """A named mutex; the name is what reprolint's static graph and the
     runtime tracker report."""
@@ -356,8 +259,3 @@ def tracked_lock(name: str) -> TrackedLock:
 def tracked_condition(name: str) -> TrackedCondition:
     """A named condition variable (see :func:`tracked_lock`)."""
     return TrackedCondition(name)
-
-
-def tracked_rw_gate(name: str) -> ReadWriteGate:
-    """A named read/write gate (see :class:`ReadWriteGate`)."""
-    return ReadWriteGate(name)

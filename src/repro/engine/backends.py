@@ -333,7 +333,7 @@ class ShardedServiceBackend:
     ) -> List[Tuple[List[Point], QueryTrace]]:
         """One native ``query_many_traced`` call: worklist batching and
         the result cache apply, and the traces come back with the
-        results, so concurrent batch executions share no state."""
+        results."""
         service = self.service
         # repro: calls(SkylineService.query_many_traced)
         results, traces = service.query_many_traced(

@@ -28,11 +28,9 @@ from collections import Counter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.analysis import sanitize as _sanitize
-from repro.analysis.locks import tracked_lock
 from repro.core.point import Point
 from repro.core.queries import RangeQuery
 from repro.em.config import EMConfig
-from repro.em.counters import IOSnapshot
 from repro.engine.backends import (
     Backend,
     LocalIndexBackend,
@@ -50,8 +48,6 @@ from repro.engine.requests import QueryRequest, UpdateRequest
 from repro.service.config import ServiceConfig
 from repro.service.durability import DurableStore
 
-Request = Union[QueryRequest, UpdateRequest]
-Response = Union[QueryResult, UpdateResult]
 QueryLike = Union[QueryRequest, RangeQuery]
 _T = TypeVar("_T")
 
@@ -119,13 +115,6 @@ class SkylineEngine:
         # report-partition sanitizer so the identity stays exact over
         # engine-served traffic; see :meth:`_san_pre`.
         self._external_io = 0
-        # Group accounting for snapshot-concurrent read batches
-        # (:meth:`query_batch_shared`): the books lock serializes only
-        # the partition bookkeeping at group open/close -- the batches
-        # themselves run concurrently between the two.
-        self._books = tracked_lock("engine.books")
-        self._shared_readers = 0
-        self._group_before: Optional[IOSnapshot] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -307,8 +296,7 @@ class SkylineEngine:
     def query_batch_shared(
         self, requests: Sequence[QueryLike]
     ) -> Tuple[List[QueryResult], ExecutionReport]:
-        """Execute a batch of reads as one backend call; safe for
-        snapshot-concurrent callers.
+        """Execute a batch of reads as one backend call.
 
         The one place a batch's reads share work, on either backend:
         identical rectangles share one execution, and a rectangle inside
@@ -327,24 +315,7 @@ class SkylineEngine:
         ``cache_hit``/``tombstone_fallback`` flags of the execution that
         answered it; the returned *batch report* carries the blocks --
         counted once in :meth:`attributed_io`, so the accounting
-        identity still holds.
-
-        Any number of overlapping calls may execute concurrently,
-        provided no write runs beside them -- the serving tier's
-        read/write gate enforces exactly that.  Ledger accounting happens
-        at **group** granularity: the call that opens a group (shared
-        readers 0 -> 1) settles the books and snapshots the ledger; the
-        call that closes it (readers back to 0) attributes the whole
-        group's ledger delta to its own batch report and re-checks the
-        partition identity; calls in between return a zero-block batch
-        report.  That is the per-request discipline of one batch, lifted
-        to overlapping batches: the group delta is race-free because
-        every reader only decrements after its execution returned, so
-        the closer's snapshot has seen all of the group's charges.  With
-        no overlap every call is both opener and closer, and its batch
-        report carries exactly its own ledger delta.
-
-        A failing call just leaves the group; its ledger traffic is
+        identity still holds.  A failing call's ledger traffic is
         absorbed as external by the next :meth:`_san_pre`, the same
         discipline a failing single query gets.
         """
@@ -355,81 +326,64 @@ class SkylineEngine:
         plans = [self.backend.plan(r) for r in reqs]
         answered_by = _answered_by([r.rect for r in reqs])
         leaders = [i for i, leader in enumerate(answered_by) if leader == i]
-        with self._books:
-            if self._shared_readers == 0:
-                self._san_pre()
-                self._group_before = self.backend.snapshot()
-            self._shared_readers += 1
-        try:
-            # repro: calls(ShardedServiceBackend.execute_many)
-            executed = self.backend.execute_many(
-                [reqs[i].rect for i in leaders], consistency
-            )
-            answers = dict(zip(leaders, executed))
-            fanin = Counter(answered_by)
-            results: List[QueryResult] = []
-            total_k = 0
-            predicted = 0.0
-            for i, (req, plan) in enumerate(zip(reqs, plans)):
-                leader = answered_by[i]
-                points, trace = answers[leader]
-                if leader != i:
-                    points = req.rect.filter(points)
-                k = len(points)
-                total_k += k
-                predicted += plan.predicted_io(k)
-                page, next_cursor = _paginate(points, req.cursor, req.limit)
-                results.append(
-                    QueryResult(
-                        points=page,
-                        total_results=k,
-                        next_cursor=next_cursor,
-                        plan=plan,
-                        report=ExecutionReport(
-                            backend=self.backend.name,
-                            kind=KIND_QUERY,
-                            variant=req.variant,
-                            structure=plan.structure,
-                            reads=0,
-                            writes=0,
-                            cache_hit=trace.cache_hit,
-                            shards_visited=plan.shards_visited,
-                            shards_pruned=plan.shards_pruned,
-                            tombstone_fallback=trace.tombstone_fallback,
-                            coalesced=leader != i,
-                            coalesce_fanin=fanin[leader],
-                            result_size=k,
-                            predicted_io=plan.predicted_io(k),
-                        ),
-                    )
+        self._san_pre()
+        before = self.backend.snapshot()
+        # repro: calls(ShardedServiceBackend.execute_many)
+        executed = self.backend.execute_many(
+            [reqs[i].rect for i in leaders], consistency
+        )
+        delta = self.backend.snapshot() - before
+        answers = dict(zip(leaders, executed))
+        fanin = Counter(answered_by)
+        results: List[QueryResult] = []
+        total_k = 0
+        predicted = 0.0
+        for i, (req, plan) in enumerate(zip(reqs, plans)):
+            leader = answered_by[i]
+            points, trace = answers[leader]
+            if leader != i:
+                points = req.rect.filter(points)
+            k = len(points)
+            total_k += k
+            predicted += plan.predicted_io(k)
+            page, next_cursor = _paginate(points, req.cursor, req.limit)
+            results.append(
+                QueryResult(
+                    points=page,
+                    total_results=k,
+                    next_cursor=next_cursor,
+                    plan=plan,
+                    report=ExecutionReport(
+                        backend=self.backend.name,
+                        kind=KIND_QUERY,
+                        variant=req.variant,
+                        structure=plan.structure,
+                        reads=0,
+                        writes=0,
+                        cache_hit=trace.cache_hit,
+                        shards_visited=plan.shards_visited,
+                        shards_pruned=plan.shards_pruned,
+                        tombstone_fallback=trace.tombstone_fallback,
+                        coalesced=leader != i,
+                        coalesce_fanin=fanin[leader],
+                        result_size=k,
+                        predicted_io=plan.predicted_io(k),
+                    ),
                 )
-        except BaseException:
-            with self._books:
-                self._shared_readers -= 1
-                if self._shared_readers == 0:
-                    self._group_before = None
-            raise
-        with self._books:
-            self._shared_readers -= 1
-            delta: Optional[IOSnapshot] = None
-            if self._shared_readers == 0:
-                assert self._group_before is not None
-                delta = self.backend.snapshot() - self._group_before
-                self._group_before = None
-            batch_report = ExecutionReport(
-                backend=self.backend.name,
-                kind=KIND_BATCH,
-                variant=KIND_BATCH,
-                structure=KIND_BATCH,
-                reads=delta.reads if delta is not None else 0,
-                writes=delta.writes if delta is not None else 0,
-                result_size=total_k,
-                predicted_io=predicted,
             )
-            self.requests_served += len(reqs)
-            self._attributed += batch_report.blocks
-            if delta is not None:
-                self._san_post(batch_report)
+        batch_report = ExecutionReport(
+            backend=self.backend.name,
+            kind=KIND_BATCH,
+            variant=KIND_BATCH,
+            structure=KIND_BATCH,
+            reads=delta.reads,
+            writes=delta.writes,
+            result_size=total_k,
+            predicted_io=predicted,
+        )
+        self.requests_served += len(reqs)
+        self._attributed += batch_report.blocks
+        self._san_post(batch_report)
         return results, batch_report
 
     # ------------------------------------------------------------------
@@ -473,12 +427,6 @@ class SkylineEngine:
 
     def delete(self, point: Point) -> UpdateResult:
         return self.update(UpdateRequest.delete(point))
-
-    def execute(self, request: Request) -> Response:
-        """Unified dispatch: query or update, by request type."""
-        if isinstance(request, UpdateRequest):
-            return self.update(request)
-        return self.query(request)
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle

@@ -24,18 +24,21 @@ class ServerConfig:
     gather_window:
         Read gathering window, in seconds, and the one bound on how long
         a read waits for company.  After the dispatcher pulls the first
-        pending read it keeps gathering submissions for at most this long
-        (or until ``max_batch``), so concurrent callers hitting the
-        service within one window are served as *one*
+        pending read it keeps gathering submissions until the window
+        closes (or until ``max_batch``), so concurrent callers hitting
+        the service within one window are served as *one*
         :meth:`~repro.engine.SkylineEngine.query_batch_shared` call, where
         identical and nested rectangles among them share one execution.
-        The wait is arrival-aware: the dispatcher keeps an EWMA of read
-        inter-arrival gaps and waits only while that mean gap is no
-        longer than the window (or before any estimate exists).  When
-        reads arrive further apart, no company can come within the
-        window, so it drains whatever is already queued and dispatches at
-        once.  ``0`` never waits but still drains the queue into one
-        batch.  ``describe()`` reports the window in effect and the EWMA.
+        The window opens at the previous dispatch when that one is less
+        than a window ago, so a batch's execution eats into the next
+        window, and at the pull otherwise.  The wait is arrival-aware:
+        the dispatcher keeps an EWMA of read inter-arrival gaps and
+        waits only while that mean gap is no longer than the window (or
+        before any estimate exists).  When reads arrive further apart,
+        no company can come within the window, so it drains whatever is
+        already queued and dispatches at once.  ``0`` never waits but
+        still drains the queue into one batch.  ``describe()`` reports
+        the window in effect and the EWMA.
     max_batch:
         Upper bound on the submissions gathered into one read batch.
         ``1`` executes every submission alone -- the uncoalesced
@@ -56,17 +59,6 @@ class ServerConfig:
         cancelled with a terminal :class:`~repro.serve.errors.Overloaded`
         -- the same admission-control stance the intake queues take, so a
         slow consumer cannot hold delta history without bound.
-    read_concurrency:
-        Gathered read batches allowed to execute concurrently.  ``1``
-        (the default) reproduces the classic serial discipline: the
-        dispatcher executes each batch inline before gathering the next.
-        Above 1, batches run on a small read-lane executor against a
-        frozen snapshot (writes still serialize on the write side of the
-        server's read/write gate), so gathering the next window overlaps
-        executing the previous one.  The server silently degrades the
-        effective value to 1 when the backend has no uid-keyed shard
-        worker pool, the only thing that keeps each shard's ledger
-        charges on one thread while batches overlap.
     """
 
     gather_window: float = 0.002
@@ -75,7 +67,6 @@ class ServerConfig:
     backpressure: str = "block"
     submit_timeout: Optional[float] = None
     max_subscription_queue: int = 256
-    read_concurrency: int = 1
 
     def __post_init__(self) -> None:
         if self.gather_window < 0:
@@ -101,8 +92,4 @@ class ServerConfig:
             raise ValueError(
                 f"max_subscription_queue must be >= 1, "
                 f"got {self.max_subscription_queue}"
-            )
-        if self.read_concurrency < 1:
-            raise ValueError(
-                f"read_concurrency must be >= 1, got {self.read_concurrency}"
             )

@@ -62,11 +62,10 @@ class ServingReport:
     pinned_version:
         The server's writes-applied counter at the moment this request
         executed -- the write version a read batch was pinned against.
-        Concurrent read batches under ``config.read_concurrency > 1``
-        all pin the same value between two writes (writes serialize on
-        the gate's write side), which is the snapshot-isolation statement
-        a response can carry home.  ``None`` on reports produced before
-        execution (sheds, queue timeouts).
+        A batch and a write never overlap (they take turns on the
+        server's engine lock), so a read reporting version ``v`` saw
+        exactly the first ``v`` applied writes.  ``None`` on reports
+        produced before execution (sheds, queue timeouts).
     """
 
     lane: str

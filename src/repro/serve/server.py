@@ -23,7 +23,10 @@ inter-arrival gaps and waits up to ``config.gather_window`` for more
 reads only while that mean gap is no longer than the window (or before
 any estimate exists); when reads arrive further apart, waiting cannot
 grow a batch, so it drains whatever is already queued and dispatches at
-once.  :meth:`SkylineServer.describe` reports the window in effect.
+once.  A window opens at the previous dispatch while that one is less
+than a window ago, so it runs down while the batch executes and a read
+pulled right after the batch returns waits only for what is left of it.
+:meth:`SkylineServer.describe` reports the window in effect.
 
 **Subscriptions** (:meth:`SkylineServer.subscribe`) ride the same
 lanes as continuous queries: after the writer lane applies each update
@@ -67,9 +70,9 @@ from typing import (
     Union,
 )
 
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 
-from repro.analysis.locks import tracked_lock, tracked_rw_gate
+from repro.analysis.locks import tracked_lock
 from repro.core.point import Point
 from repro.core.queries import RangeQuery
 from repro.engine.engine import QueryLike, SkylineEngine
@@ -262,8 +265,8 @@ class SkylineServer:
     engine:
         The engine to serve.  On a sharded backend the server installs a
         persistent uid-keyed worker pool as the service's batch executor
-        (see :mod:`repro.serve.workers`); a local backend is served
-        through the same lanes without a pool.
+        (see :mod:`repro.serve.workers`) until :meth:`stop`; a local
+        backend is served through the same lanes without a pool.
     config:
         Serving tunables; defaults to :class:`ServerConfig()`.
     start:
@@ -293,29 +296,14 @@ class SkylineServer:
         self._write_queue: "queue.Queue[_Submission]" = queue.Queue(
             MAX_WRITE_QUEUE
         )
-        # Read batches run concurrently against a frozen snapshot (the
-        # gate's read side); writer-lane updates and subscription pumps
-        # take the exclusive write side.  Nothing else may touch the
-        # engine while the server owns it (reprolint enforces it: every
-        # self.engine call must hold the gate).
-        self._gate = tracked_rw_gate("serve.server.engine")  # repro: guards(engine)
-        # Effective read concurrency: batches may only overlap when the
-        # uid-keyed worker pool pins every shard ledger to one worker
-        # thread.
-        workers = self.config.read_concurrency
-        if self.pool is None:
-            workers = 1
-        self._read_workers = workers
-        self._read_executor: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="skyserve-read"
-            )
-            if workers > 1
-            else None
-        )
+        # Read batches, writer-lane updates, subscription registration
+        # and pumps take turns on this one lock.  Nothing else may touch
+        # the engine while the server owns it (reprolint enforces it:
+        # every self.engine call must hold the lock).
+        self._gate = tracked_lock("serve.server.engine")  # repro: guards(engine)
         # Writes applied so far; each read batch reports the value it
         # executed against (its pinned write version).  Bumped only by
-        # the writer lane while it holds the gate's write side.
+        # the writer lane while it holds the engine lock.
         self._writes_applied = 0
         # Continuous queries: the manager diffs skylines and scopes the
         # recomputation; the handle table maps sub ids to client queues.
@@ -331,6 +319,8 @@ class SkylineServer:
         # (describe() reads are monotonic snapshots, no lock needed).
         self._arrival_ewma: Optional[float] = None
         self._last_arrival: Optional[float] = None
+        # When the dispatcher last handed a batch to the engine.
+        self._dispatched_at: Optional[float] = None
         self._stop = threading.Event()
         self._started = False
         self._closed = False
@@ -375,9 +365,6 @@ class SkylineServer:
         for thread in (self._dispatcher, self._writer):
             if thread is not None:
                 thread.join()
-        if self._read_executor is not None:
-            # In-flight read batches complete before the pool goes away.
-            self._read_executor.shutdown(wait=True)
         for lane in (self._read_queue, self._write_queue):
             while True:
                 try:
@@ -394,6 +381,9 @@ class SkylineServer:
             handle._terminate(None)
         if self.pool is not None:
             self.pool.close()
+            # Direct engine calls after the server is gone run inline
+            # again, not on a closed pool that would start new workers.
+            self.pool.service.batch_executor = None
 
     def __enter__(self) -> "SkylineServer":
         return self.start()
@@ -530,7 +520,7 @@ class SkylineServer:
             else SubscribeRequest(rect=request)
         )
         now = time.perf_counter()
-        with self._gate.write():
+        with self._gate:
             # repro: calls(SubscriptionManager.register)
             sub, initial = self._subscriptions.register(req)
         handle = ServerSubscription(
@@ -569,7 +559,7 @@ class SkylineServer:
         with self._handles_lock:
             if not self._handles:
                 return
-        with self._gate.write():
+        with self._gate:
             # repro: calls(SubscriptionManager.pump)
             deltas = self._subscriptions.pump()
         if deltas:
@@ -646,30 +636,21 @@ class SkylineServer:
         self._last_arrival = previous
 
     def _dispatch_loop(self) -> None:
-        # Read batches handed to the read-lane executor whose results are
-        # still pending.  Dispatcher-thread private, so no lock is needed.
-        inflight: List["Future[None]"] = []
         while not self._stop.is_set():
-            inflight = [f for f in inflight if not f.done()]
+            # Block for the first read -- bounded, so the stop flag is
+            # still seen -- rather than poll an empty queue.
+            try:
+                batch = [self._read_queue.get(timeout=_IDLE_POLL_S)]
+            except queue.Empty:
+                continue
             window = self.current_gather_window()
-            if inflight and window > 0:
-                # Pipelined gather: while a batch executes, the next
-                # window is already open -- anchored at the previous
-                # dispatch, not at the next arrival -- so the window's
-                # wait runs down *during* execution.  This is where the
-                # concurrent read lane's throughput gain over the serial
-                # discipline comes from: the serial loop below can only
-                # start its window after the inline execution returns,
-                # paying window + execution per cycle.
-                batch = []
-            else:
-                # Block for the first read -- bounded, so the stop flag
-                # is still seen -- rather than poll an empty queue.
-                try:
-                    batch = [self._read_queue.get(timeout=_IDLE_POLL_S)]
-                except queue.Empty:
-                    continue
-            horizon = time.perf_counter() + window
+            now = time.perf_counter()
+            horizon = now + window
+            # A window the previous dispatch opened ran down while that
+            # batch executed: a read pulled before it closes waits only
+            # for the rest of it.
+            if self._dispatched_at is not None and now < self._dispatched_at + window:
+                horizon = self._dispatched_at + window
             while len(batch) < self.config.max_batch:
                 remaining = horizon - time.perf_counter()
                 try:
@@ -679,18 +660,9 @@ class SkylineServer:
                         batch.append(self._read_queue.get(timeout=remaining))
                 except queue.Empty:
                     break
-            if not batch:
-                continue
             self._observe_arrivals(batch)
-            if self._read_executor is not None:
-                # The executor caps batches in flight at
-                # read_concurrency; each runs under the gate's read side
-                # against the same pinned write version.
-                inflight.append(
-                    self._read_executor.submit(self._serve_read_batch, batch)
-                )
-            else:
-                self._serve_read_batch(batch)
+            self._dispatched_at = time.perf_counter()
+            self._serve_read_batch(batch)
 
     def _expire(self, submission: _Submission, now: float, lane: str) -> bool:
         """Fail a still-queued submission whose deadline has passed."""
@@ -714,7 +686,7 @@ class SkylineServer:
             return
         started = time.perf_counter()
         try:
-            with self._gate.read():
+            with self._gate:
                 pinned = self._writes_applied
                 # The engine shares one execution among identical and
                 # nested rectangles; each result's report says which.
@@ -757,11 +729,11 @@ class SkylineServer:
                 continue
             started = time.perf_counter()
             try:
-                with self._gate.write():
+                with self._gate:
                     # repro: calls(SkylineEngine.update)
                     result = self.engine.update(submission.request)
-                    # Bumped before the write side releases, so every
-                    # read batch admitted afterwards pins the new version.
+                    # Bumped before the lock releases, so every read
+                    # batch served afterwards pins the new version.
                     self._writes_applied += 1
             except BaseException as exc:
                 submission.future.set_exception(exc)
@@ -785,7 +757,7 @@ class SkylineServer:
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, object]:
         """Server metrics plus the engine's own description underneath."""
-        with self._gate.read():
+        with self._gate:
             # repro: calls(SkylineEngine.describe)
             engine_status = self.engine.describe()
         with self._handles_lock:
@@ -803,7 +775,6 @@ class SkylineServer:
                 "configured_gather_window_s": self.config.gather_window,
                 "arrival_ewma_s": self._arrival_ewma,
                 "max_batch": self.config.max_batch,
-                "read_concurrency": self._read_workers,
                 "writes_applied": self._writes_applied,
                 "backpressure": self.config.backpressure,
                 "max_read_queue": self.config.max_read_queue,

@@ -2,10 +2,10 @@
 
 The service's default batch executor (:func:`repro.service.batch
 .execute_worklists`) runs every worklist on the calling thread.  A
-serving runtime executes batches continuously, and several at once, so
-this pool keeps one long-lived worker thread per shard **uid** -- the
-stable identity that survives topology changes -- and installs itself as
-the service's pluggable ``batch_executor``.  Between batches the workers
+serving runtime executes batches continuously, one at a time, so this
+pool keeps one long-lived worker thread per shard **uid** -- the stable
+identity that survives topology changes -- and installs itself as the
+service's pluggable ``batch_executor``.  Between batches the workers
 stay warm (thread, per-worker counters, and the shard machine's buffer
 pool they repeatedly drive); across an online split or merge only the
 rewritten shards' workers are retired and the children's created,
@@ -15,7 +15,7 @@ uids.
 Accounting stays exact because each worklist runs on exactly one worker,
 each shard machine charges a private ledger, and nothing is shared
 between workers: the pool charges bit-identical totals to the inline
-executor, and concurrent read batches never race a shard's counter.
+executor.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from concurrent.futures import Future
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.analysis import sanitize as _sanitize
-from repro.analysis.locks import tracked_condition, tracked_lock
+from repro.analysis.locks import tracked_condition
 from repro.service.batch import ShardAnswer, ShardQueryFn, WorkItem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -96,9 +96,6 @@ class ShardWorkerPool:
         self.workers: Dict[int, _ShardWorker] = {}
         self.created = 0
         self.retired = 0
-        # Concurrent read batches call sync() from several dispatcher
-        # threads at once; the worker table reconciliation must not race.
-        self._sync_lock = tracked_lock("serve.workers.sync")
 
     # ------------------------------------------------------------------
     # Topology tracking
@@ -111,19 +108,18 @@ class ShardWorkerPool:
         exclusive).  Workers for vanished uids are retired; new uids get
         fresh workers; everyone else stays warm.
         """
-        with self._sync_lock:
-            live = {shard.sid: shard.uid for shard in self.service.shards}
-            alive = set(live.values())
-            for uid in list(self.workers):
-                if uid not in alive:
-                    # repro: calls(_ShardWorker.stop)
-                    self.workers.pop(uid).stop()
-                    self.retired += 1
-            for uid in alive:
-                if uid not in self.workers:
-                    self.workers[uid] = _ShardWorker(uid)
-                    self.created += 1
-            return live
+        live = {shard.sid: shard.uid for shard in self.service.shards}
+        alive = set(live.values())
+        for uid in list(self.workers):
+            if uid not in alive:
+                # repro: calls(_ShardWorker.stop)
+                self.workers.pop(uid).stop()
+                self.retired += 1
+        for uid in alive:
+            if uid not in self.workers:
+                self.workers[uid] = _ShardWorker(uid)
+                self.created += 1
+        return live
 
     # ------------------------------------------------------------------
     # Batch execution (the service's batch_executor hook)
@@ -168,8 +164,11 @@ class ShardWorkerPool:
     # Lifecycle / introspection
     # ------------------------------------------------------------------
     def close(self) -> None:
+        """Stop every worker and wait for its thread to exit."""
         for worker in self.workers.values():
             worker.stop()
+        for worker in self.workers.values():
+            worker.thread.join()
         self.workers.clear()
 
     def describe(self) -> Dict[str, object]:

@@ -69,10 +69,11 @@ class ServiceConfig:
         The adaptive topology's third trigger, after hot splits and cold
         merges: when the *level-resident* records inside one shard's
         x-range (its slice of the LSM tower) exceed this fraction of the
-        target load, the shard is *folded* -- split and immediately
-        merged back, a bounded local compaction of just that range that
-        pulls its tower slice down into the base shard and consumes its
-        tombstones without changing the cut count.  Keeps a skewed
+        target load, the shard is *folded* -- rebuilt in place from its
+        tower (:meth:`~repro.service.SkylineService.fold_shard`), a
+        bounded local compaction of just that range that pulls its tower
+        slice down into the base shard and consumes its tombstones, with
+        no cut moved and no neighbour touched.  Keeps a skewed
         insert stream from accumulating its hot region in ever-deeper
         level components.  ``0`` disables pressure folds.
     topology_check_every:

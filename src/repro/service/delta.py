@@ -14,10 +14,11 @@ rectangle contains a tombstone of some shard recomputes that shard's local
 skyline from the shard's resident live points; shards untouched by
 tombstones keep using their static structures at full I/O efficiency.
 
-Tombstones are bucketed by the *owning component* -- the base shard id (an
-``int``) for victims resident in a static shard, or a leveled component's
-owner key (``("c", component_id)``, see :mod:`repro.service.lsm`) for
-victims resident in an immutable level.  A batch of ``Q`` queries over
+Tombstones are bucketed by the *owning component* -- the base shard's
+owner key (``("s", uid)``, see :attr:`repro.service.shard.Shard.owner`)
+for victims resident in a static shard, or a leveled component's owner
+key (``("c", component_id)``, see :mod:`repro.service.lsm`) for victims
+resident in an immutable level.  A batch of ``Q`` queries over
 ``S`` components therefore probes only each component's own bucket instead
 of sweeping every tombstone ``Q * S`` times.  Buckets are maintained on
 every mutation path -- tombstone creation, revival by re-insert,
@@ -41,7 +42,7 @@ from repro.core.point import Point
 from repro.core.queries import RangeQuery
 
 Key = Tuple[float, float, Optional[int]]
-#: A tombstone's owning component: a base shard id, a leveled component's
+#: A tombstone's owning component: a base shard's or a leveled component's
 #: owner key, or ``None`` for the unknown-owner catch-all bucket.
 Owner = Optional[Hashable]
 
@@ -101,7 +102,7 @@ class DeltaBuffer:
         """Record that the resident point ``point`` is deleted.
 
         ``sid`` is the owner key of the component holding the point (a
-        base shard id, or a level component's owner key); it buckets the
+        base shard's or a level component's); it buckets the
         tombstone so queries against other components never scan it.
         ``None`` (owner unknown) lands in a catch-all bucket every
         component checks.  Re-adding an existing tombstone under a new
@@ -115,18 +116,6 @@ class DeltaBuffer:
         self._tombstone_shard[key] = sid
         self._tombstones_by_shard.setdefault(sid, {})[key] = point
         self.version += 1
-
-    def seal_inserts(self) -> List[Point]:
-        """Drain the pending inserts (the level-0 memtable) for a flush.
-
-        Returns the drained points sorted by increasing x; tombstones stay
-        in the buffer (a merge consumes them when it rewrites their
-        victims' component, see :mod:`repro.service.lsm`).
-        """
-        sealed = sorted(self.inserts.values(), key=lambda p: (p.x, p.y))
-        self.inserts.clear()
-        self.version += 1
-        return sealed
 
     def take_inserts_in_range(self, x_lo: float, x_hi: float) -> List[Point]:
         """Remove and return the pending inserts with ``x_lo <= x < x_hi``.

@@ -41,8 +41,8 @@ from repro.em.counters import IOStats
 from repro.em.storage import StorageManager
 
 #: Owner key of a component in the tombstone table (see
-#: :class:`repro.service.delta.DeltaBuffer`): distinct from the plain
-#: ``int`` shard ids the base tier uses.
+#: :class:`repro.service.delta.DeltaBuffer`): distinct from a base
+#: shard's ``("s", uid)`` key (:attr:`repro.service.shard.Shard.owner`).
 OwnerKey = Tuple[str, int]
 
 

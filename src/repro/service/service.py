@@ -102,7 +102,6 @@ import dataclasses
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.locks import tracked_lock
 from repro.core.columns import filter_rect
 from repro.core.point import Point, resolve_victim_index
 from repro.core.queries import RangeQuery
@@ -224,15 +223,6 @@ class SkylineService:
         self._replaying = False
         # Set by `open` with the block-transfer cost of the last recovery.
         self.recovery: Optional[Dict[str, int]] = None
-        # Overlay lock: the one mutable-state lock of the read path.
-        # Snapshot-concurrent read batches (the serving tier's read gate)
-        # run query_many_traced on several threads at once; everything
-        # those calls *mutate* -- the result cache's LRU order and
-        # level-component ledger charges -- happens under this lock, whose acquisitions are also the sync points
-        # the ledger-ownership sanitizer requires between cross-thread
-        # charges.  Shard-level charges need no lock: the persistent
-        # worker pool pins each shard uid to one worker thread.
-        self._overlay = tracked_lock("service.overlay")
         # Pluggable batch executor with the execute_worklists signature
         # ``(worklists, shard_query) -> {(position, sid): answer}``.
         # None = execute_worklists, inline on the calling thread.  The
@@ -1227,13 +1217,6 @@ class SkylineService:
         """:meth:`query_many`, returning ``(results, traces)``: one
         :class:`QueryExecutionTrace` per query (routing, cache hit,
         tombstone fallback), aligned with the results.
-
-        Safe for concurrent read-only callers (no writer may run beside
-        them -- the serving tier's read/write gate guarantees that):
-        nothing of the batch state lands on the service instance, and the
-        shared structures a call *does* mutate -- the result cache's LRU
-        order and level-component ledgers on tombstone fallbacks -- are
-        serialized under the overlay lock.
         """
         results: List[Optional[List[Point]]] = [None] * len(queries)
         traces: List[Optional[QueryExecutionTrace]] = [None] * len(queries)
@@ -1248,11 +1231,7 @@ class SkylineService:
                     for sid in shard_ids
                 ],
             )
-            if use_cache:
-                with self._overlay:
-                    cached = self.cache.get(key)
-            else:
-                cached = None
+            cached = self.cache.get(key) if use_cache else None
             if cached is not None:
                 results[position] = cached
                 traces[position] = QueryExecutionTrace(
@@ -1276,10 +1255,6 @@ class SkylineService:
                 )
                 fallback = any(local[(position, sid)][1] for sid in shard_ids)
                 sources: List[Sequence[Point]] = [merged]
-                # Component queries charge the components' private
-                # ledgers; concurrent batches reach here from several
-                # threads, so the charges serialize on the overlay
-                # lock (each acquisition is a declared sync point).
                 # The fan covers exactly the visited shards' towers:
                 # private components whole, inherited ones through
                 # their refs' adoption intervals (disjoint across
@@ -1287,35 +1262,31 @@ class SkylineService:
                 # towers contributes each point at most once, and a
                 # region an earlier fold moved into a base is never
                 # re-read from the shared component).
-                with self._overlay:
-                    for sid in shard_ids:
-                        shard = self.shards[sid]
-                        tower = shard.tower
-                        assert tower is not None
-                        for comp in tower.private_components():
-                            comp_result, comp_fallback = (
-                                self._component_query(comp, query)
-                            )
-                            sources.append(comp_result)
-                            fallback = fallback or comp_fallback
-                        for ref in tower.inherited:
-                            comp_result, comp_fallback = (
-                                self._component_query(
-                                    ref.comp,
-                                    query,
-                                    clip_lo=ref.x_lo,
-                                    clip_hi=ref.x_hi,
-                                )
-                            )
-                            sources.append(comp_result)
-                            fallback = fallback or comp_fallback
-                    # Unsorted is fine: merge_component_skylines
-                    # orders the whole union itself.
-                    sources.append(self.delta.candidates_in(query))
+                for sid in shard_ids:
+                    shard = self.shards[sid]
+                    tower = shard.tower
+                    assert tower is not None
+                    for comp in tower.private_components():
+                        comp_result, comp_fallback = self._component_query(
+                            comp, query
+                        )
+                        sources.append(comp_result)
+                        fallback = fallback or comp_fallback
+                    for ref in tower.inherited:
+                        comp_result, comp_fallback = self._component_query(
+                            ref.comp,
+                            query,
+                            clip_lo=ref.x_lo,
+                            clip_hi=ref.x_hi,
+                        )
+                        sources.append(comp_result)
+                        fallback = fallback or comp_fallback
+                # Unsorted is fine: merge_component_skylines orders the
+                # whole union itself.
+                sources.append(self.delta.candidates_in(query))
                 merged = merge_component_skylines(sources)
                 if use_cache:
-                    with self._overlay:
-                        self.cache.put(key, merged)
+                    self.cache.put(key, merged)
                 results[position] = merged
                 # The fallback flag comes from the executors themselves
                 # (each computed it once) -- never re-derived here.

@@ -5,7 +5,7 @@ Each shard owns the points whose x-coordinates fall in its half-open range
 :class:`repro.RangeSkylineIndex` built over a private
 :class:`repro.em.StorageManager`.  Every shard machine also owns a *private*
 :class:`repro.em.counters.IOStats` ledger: the serving tier's worker pool
-pins each shard to one worker thread, so concurrent read batches never
+pins each shard to one worker thread, so the workers of one batch never
 touch the same counter and cannot drop increments.  The service-wide I/O
 total is the sum over the per-shard ledgers (see
 :class:`repro.em.counters.IOStatsGroup`) -- the same quantity the

@@ -134,7 +134,7 @@ class TopologyManager:
         """One policy step: split the hottest shard over the split
         threshold, else merge the coldest adjacent pair under the merge
         threshold, else *fold* the shard under the worst level-tower
-        pressure (a split immediately merged back: same cuts, range
+        pressure (rebuilt in place from its tower: same cuts, range
         compacted locally).  At most one action per call, so the work any
         single update can trigger stays bounded.  Returns ``"split"``,
         ``"merge"``, ``"fold"`` or ``None``.

@@ -1,14 +1,14 @@
-"""Hot-path equivalence tests: columnar kernels and snapshot-concurrent
-read batches.
+"""Hot-path equivalence tests: columnar kernels and the serving tier's
+read lane.
 
 The columnar kernels are a pure speed play: they must be
 *indistinguishable* from the implementation they replaced -- identical
 answers, identical block ledgers.  Hypothesis drives the equivalence
 properties over both column backends (numpy and the pure-python
 ``array`` fallback) by flipping the module's backend switch; the
-concurrency tests run the serving tier's serial and snapshot-concurrent
-read disciplines against identical engines and hold their answers and
-ledgers equal.
+read-lane tests drive closed-loop clients through the server and hold
+their answers to a directly queried engine and the served engine's
+ledger partition exact.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from contextlib import contextmanager
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.locks import ReadWriteGate, tracked_rw_gate
 from repro.core import columns
 from repro.core.columns import PointColumns, filter_rect, sort_points_by_x
 from repro.core.point import Point
@@ -167,92 +166,7 @@ def test_columnar_results_are_original_objects():
 
 
 # ----------------------------------------------------------------------
-# ReadWriteGate
-# ----------------------------------------------------------------------
-def test_gate_counts_readers_and_serializes_writers():
-    gate: ReadWriteGate = tracked_rw_gate("test.hotpath.gate")
-    assert gate.readers == 0
-    with gate.read():
-        assert gate.readers == 1
-        with gate.read():  # another reader may share the gate
-            assert gate.readers == 2
-    assert gate.readers == 0
-
-    entered = threading.Event()
-    release = threading.Event()
-    observed: list = []
-
-    def writer() -> None:
-        with gate.write():
-            entered.set()
-            release.wait(timeout=10.0)
-            observed.append(gate.readers)
-
-    thread = threading.Thread(target=writer)
-    thread.start()
-    assert entered.wait(timeout=10.0)
-
-    blocked_reader_done = threading.Event()
-
-    def reader() -> None:
-        with gate.read():
-            blocked_reader_done.set()
-
-    reader_thread = threading.Thread(target=reader)
-    reader_thread.start()
-    # The reader cannot enter while the writer holds the gate.
-    assert not blocked_reader_done.wait(timeout=0.05)
-    release.set()
-    assert blocked_reader_done.wait(timeout=10.0)
-    thread.join()
-    reader_thread.join()
-    assert observed == [0]
-
-
-def test_gate_prefers_waiting_writers():
-    gate: ReadWriteGate = tracked_rw_gate("test.hotpath.gate2")
-    reader_in = threading.Event()
-    release_reader = threading.Event()
-    writer_done = threading.Event()
-    late_reader_in = threading.Event()
-    order: list = []
-
-    def first_reader() -> None:
-        with gate.read():
-            reader_in.set()
-            release_reader.wait(timeout=10.0)
-
-    def writer() -> None:
-        with gate.write():
-            order.append("writer")
-        writer_done.set()
-
-    def late_reader() -> None:
-        with gate.read():
-            late_reader_in.set()
-            order.append("late-reader")
-
-    threading.Thread(target=first_reader).start()
-    assert reader_in.wait(timeout=10.0)
-    writer_thread = threading.Thread(target=writer)
-    writer_thread.start()
-    while gate._writers_waiting == 0:  # writer registered as waiting
-        pass
-    late = threading.Thread(target=late_reader)
-    late.start()
-    # Write preference: the late reader must not slip past the waiting
-    # writer even though a reader currently holds the gate.
-    assert not late_reader_in.wait(timeout=0.05)
-    release_reader.set()
-    assert writer_done.wait(timeout=10.0)
-    assert late_reader_in.wait(timeout=10.0)
-    writer_thread.join()
-    late.join()
-    assert order == ["writer", "late-reader"]
-
-
-# ----------------------------------------------------------------------
-# Snapshot-concurrent read batches
+# The read lane
 # ----------------------------------------------------------------------
 def _mk_engine(seed: int = 0) -> SkylineEngine:
     import random
@@ -306,35 +220,31 @@ def _run_clients(server: SkylineServer, rects, clients: int = 4):
     return answers
 
 
-def test_concurrent_read_batches_match_serial():
+def test_closed_loop_reads_on_one_lane_match_the_engine():
+    # Batch composition follows gather timing, and with it each shard's
+    # buffer-pool access order, so block totals are not compared across
+    # live runs (test_serve pins composition and compares ledgers).
     rects = [
         RangeQuery(x_lo=i * 2000.0, x_hi=(i + 1) * 2000.0 - 1.0)
         for i in range(32)
     ]
-    results = {}
-    ledgers = {}
-    for concurrency in (1, 4):
-        engine = _mk_engine()
-        config = ServerConfig(
-            gather_window=0.002, max_batch=16, read_concurrency=concurrency
-        )
-        with SkylineServer(engine, config) as server:
-            results[concurrency] = _run_clients(server, rects)
-            status = server.describe()
-        assert status["server"]["read_concurrency"] == concurrency
-        assert _partition_holds(engine)
-        ledgers[concurrency] = (
-            engine.io_total(),
-            engine.attributed_io(),
-            engine.maintenance_io(),
-        )
-    assert results[1] == results[4]
-    assert ledgers[1] == ledgers[4]
+    engine = _mk_engine()
+    config = ServerConfig(gather_window=0.002, max_batch=16)
+    with SkylineServer(engine, config) as server:
+        answers = _run_clients(server, rects)
+        metrics = server.metrics.describe()
+    assert metrics["served"] == metrics["submitted"] == len(rects)
+    assert _partition_holds(engine)
+    direct = _mk_engine()
+    assert answers == {
+        (rect.x_lo, rect.x_hi): _canon(direct.query(rect).points)
+        for rect in rects
+    }
 
 
 def test_pinned_version_reporting():
     engine = _mk_engine(seed=1)
-    config = ServerConfig(gather_window=0.0, read_concurrency=4)
+    config = ServerConfig(gather_window=0.0)
     with SkylineServer(engine, config) as server:
         first = server.query(RangeQuery(x_lo=0.0, x_hi=50_000.0))
         assert first.serving.pinned_version == 0
@@ -347,15 +257,3 @@ def test_pinned_version_reporting():
         status = server.describe()
     assert status["server"]["writes_applied"] == 1
     assert _partition_holds(engine)
-
-
-def test_read_concurrency_degrades_safely():
-    # A backend without a uid-keyed worker pool (no sharded service)
-    # falls back to serial reads.
-    local = SkylineEngine.local(
-        [Point(float(i), float(50 - i), i) for i in range(50)]
-    )
-    with SkylineServer(local, ServerConfig(read_concurrency=8)) as server:
-        server.query(RangeQuery(x_lo=0.0, x_hi=100.0))
-        status = server.describe()
-    assert status["server"]["read_concurrency"] == 1

@@ -616,7 +616,7 @@ def test_delta_buffer_seal_and_restore_roundtrip():
     pts = [Point(3.0, 1.0, 2), Point(1.0, 2.0, 0), Point(2.0, 3.0, 1)]
     for p in pts:
         delta.insert(p)
-    sealed = delta.seal_inserts()
+    sealed = delta.take_inserts_in_range(-math.inf, math.inf)
     assert [p.ident for p in sealed] == [0, 1, 2]  # x-sorted
     assert len(delta.inserts) == 0
     delta.add_tombstone(pts[0], ("c", 7))

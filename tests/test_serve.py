@@ -18,8 +18,9 @@ The acceptance properties:
   :class:`ServerClosed`.
 * **Worker pool** -- the uid-keyed pool tracks topology changes
   (retire/create only the rewritten shards) and executes batches
-  block-identically to the default inline executor, and waits for every
-  worklist before re-raising a failure.
+  block-identically to the default inline executor, waits for every
+  worklist before re-raising a failure, and leaves no worker behind
+  once its server stops.
 * **Auto-reclaim** -- ``ServiceConfig(reclaim_every_topology_ops=N)``
   interleaves durable-store reclamation with every Nth topology
   operation.
@@ -351,27 +352,60 @@ def test_worker_pool_tracks_topology_by_uid():
 
 
 def test_worker_pool_charges_identical_blocks_to_default_executor():
+    # The same fixed batches through the server's read path (on its
+    # worker pool) and through query_batch_shared on an engine with no
+    # server (inline executor).  Composition is pinned, so answers, each
+    # batch's blocks and the ledger totals must be equal.
     base = uniform_points(512, universe=1_000_000, seed=22)
     probes = _queries(12, 1_000_000, seed=23)
-    plain = SkylineService(base, ServiceConfig(cache_capacity=0, **CFG))
-    pooled = SkylineService(base, ServiceConfig(cache_capacity=0, **CFG))
-    pooled.batch_executor = pool = ShardWorkerPool(pooled)
+    plain = SkylineEngine.sharded(base, cache_capacity=0, **CFG)
+    pooled = SkylineEngine.sharded(base, cache_capacity=0, **CFG)
+    server = SkylineServer(pooled, start=False)
     # Deletes in several shards make the probes' tombstone-fallback
     # rescans run -- and charge their shards -- on the pool's workers.
     victims = base[::64]
-    assert len({plain.router.route_point(p.x) for p in victims}) > 1
+    router = plain.backend.service.router
+    assert len({router.route_point(p.x) for p in victims}) > 1
     for victim in victims:
-        assert plain.delete(victim) and pooled.delete(victim)
+        assert plain.delete(victim).applied and pooled.delete(victim).applied
     fallbacks = 0
     for batch_start in range(0, len(probes), 4):
         batch = probes[batch_start : batch_start + 4]
-        expected, _ = plain.query_many_traced(batch)
-        got, traces = pooled.query_many_traced(batch)
-        assert [_canon(r) for r in got] == [_canon(r) for r in expected]
-        fallbacks += sum(trace.tombstone_fallback for trace in traces)
-    pool.close()
+        expected, report = plain.query_batch_shared(batch)
+        submissions = [_Submission(QueryRequest(rect=rect)) for rect in batch]
+        server._serve_read_batch(submissions)
+        got = [s.future.result(timeout=10.0) for s in submissions]
+        assert [_canon(r.points) for r in got] == [
+            _canon(r.points) for r in expected
+        ]
+        assert [r.serving.batch_blocks for r in got] == [report.blocks] * 4
+        fallbacks += sum(r.report.tombstone_fallback for r in got)
+    server.stop()
     assert fallbacks > 0
-    assert pooled.stats.total == plain.stats.total
+    assert pooled.io_total() == plain.io_total()
+
+
+def test_stopped_server_uninstalls_its_worker_pool():
+    base = uniform_points(512, universe=1_000_000, seed=25)
+    engine = SkylineEngine.sharded(base, **CFG)
+    before = set(threading.enumerate())
+
+    def shard_threads():
+        return [
+            t
+            for t in threading.enumerate()
+            if t not in before and t.name.startswith("skyserve-shard-")
+        ]
+
+    with SkylineServer(engine) as server:
+        server.query(RangeQuery())
+        assert len(shard_threads()) == CFG["shard_count"]
+    assert engine.backend.service.batch_executor is None
+    assert not shard_threads()
+    # A direct query afterwards runs inline, starting no worker.
+    for _ in range(3):
+        engine.query(RangeQuery(x_hi=500_000.0))
+    assert not shard_threads()
 
 
 def test_worker_pool_waits_for_every_worklist_before_raising():
@@ -719,8 +753,8 @@ def test_sparse_reads_do_not_wait_out_the_window():
 
 
 def test_pipelined_dispatcher_blocks_instead_of_polling():
-    # A zero window with a batch in flight must not spin on the queue:
-    # count the dispatcher's queue reads while one slow batch executes.
+    # A zero window must not spin on the queue: count the dispatcher's
+    # queue reads around one slow batch.
     class CountingQueue(_queue.Queue):
         gets = 0
 
@@ -728,7 +762,7 @@ def test_pipelined_dispatcher_blocks_instead_of_polling():
             CountingQueue.gets += 1
             return super().get(block, timeout)
 
-    config = ServerConfig(gather_window=0.0, read_concurrency=4)
+    config = ServerConfig(gather_window=0.0)
     server = _sub_server(config=config, start=False)
     server._read_queue = CountingQueue(config.max_read_queue)
     serve_batch = server._serve_read_batch
@@ -739,12 +773,38 @@ def test_pipelined_dispatcher_blocks_instead_of_polling():
 
     server._serve_read_batch = slow_batch
     with server.start():
-        assert server.describe()["server"]["read_concurrency"] == 4
         served = server.query(RangeQuery(), timeout=10.0)
     assert served.serving.latency_s >= 0.3
-    # One blocking read per idle-poll period (20 ms) while the batch
-    # runs; a busy-polling dispatcher makes tens of thousands.
+    # One blocking read per idle-poll period (20 ms); a busy-polling
+    # dispatcher makes tens of thousands.
     assert CountingQueue.gets < 100, CountingQueue.gets
+
+
+def test_gather_window_opens_at_the_previous_dispatch():
+    # A read pulled while the window the previous dispatch opened is
+    # still running down waits only for the rest of it.
+    window, execute = 0.2, 0.1
+    server = _sub_server(config=ServerConfig(gather_window=window), start=False)
+    serve_batch = server._serve_read_batch
+    dispatched = []
+
+    def slow_batch(batch):
+        dispatched.append(time.perf_counter())
+        time.sleep(execute)
+        serve_batch(batch)
+
+    server._serve_read_batch = slow_batch
+    with server.start():
+        first_submitted = time.perf_counter()
+        server.query(RangeQuery(), timeout=10.0)
+        # Submitted as the first batch returns: about window - execute
+        # of its window is left.
+        second_submitted = time.perf_counter()
+        server.query(RangeQuery(), timeout=10.0)
+    # The first read had no previous dispatch: a fresh window.
+    assert dispatched[0] - first_submitted >= window * 0.9
+    waited = dispatched[1] - second_submitted
+    assert waited < window - execute / 2, waited
 
 
 def test_streaming_config_validation():
