@@ -1,6 +1,6 @@
 """Online topology: adaptive split/merge/fold vs a frozen shard layout.
 
-Claims (ISSUE 5 acceptance):
+Claims, asserted by :func:`repro.bench.bench_resharding.check`:
 
 * under a Zipf-x mixed workload at n >= 50k, the adaptive-topology
   service keeps **mean query I/O within 1.3x** of the uniform-balanced

@@ -6,21 +6,21 @@ balanced over a uniform base set is then hit by a *skewed* mixed stream
 points, interleaved hot and wide probes.  Three services run the
 identical workload:
 
-* **static** -- the pre-PR behaviour: shard cuts frozen between
+* **static** -- ``adaptive_topology=False``: shard cuts frozen between
   compactions, the hot band's weight piles up in the level components
   (and one base shard), hot queries pay a growing level fan-out and
   tombstone rescans of ever-bigger components;
 * **adaptive** -- ``ServiceConfig(adaptive_topology=True)``: the
   :class:`~repro.service.topology.TopologyManager` splits the hot shard
-  as its range load crosses the threshold, folding the hot slice of the
-  levels and memtable into the split children, each split a bounded
-  local operation charged to maintenance;
+  once its range load reaches twice the target and folds a shard whose
+  tower reaches one block, each a bounded local operation charged to
+  maintenance;
 * **uniform baseline** -- the ideal: a service freshly built
   size-balanced over the *final* live point set, probed with the same
   query sequence.  This is what a stop-the-world global rebuild would
   buy; the adaptive service has to get near it without ever paying one.
 
-Claims (ISSUE 5 acceptance), asserted by :func:`check`:
+Claims, asserted by :func:`check`:
 
 * **mean query I/O**: adaptive stays within 1.3x of the uniform
   baseline at n >= 50k, where static exceeds 2x;
@@ -45,7 +45,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.bench.reporting import BenchmarkTable
 from repro.core.point import Point
-from repro.core.queries import FourSidedQuery, RangeQuery, TopOpenQuery
+from repro.core.queries import FourSidedQuery, TopOpenQuery
 from repro.engine import QueryRequest, SkylineEngine
 from repro.service import ServiceConfig
 from repro.workloads import uniform_points, zipf_x_points
@@ -192,10 +192,6 @@ def run_resharding_sweep(
     delta_threshold: int = 128,
     level_growth: int = 2,
     merge_step_blocks: int = 8,
-    split_load_factor: float = 2.0,
-    merge_load_factor: float = 0.4,
-    fold_pressure_factor: float = 0.02,
-    topology_check_every: int = 8,
     universe: int = 1_000_000,
     seed: int = 0,
 ) -> Tuple[BenchmarkTable, Summary]:
@@ -222,10 +218,6 @@ def run_resharding_sweep(
         delta_threshold=delta_threshold,
         level_growth=level_growth,
         merge_step_blocks=merge_step_blocks,
-        split_load_factor=split_load_factor,
-        merge_load_factor=merge_load_factor,
-        fold_pressure_factor=fold_pressure_factor,
-        topology_check_every=topology_check_every,
         # auto_compact on the leveled path only seals the memtable and
         # schedules bounded merges -- never a global rebuild (asserted:
         # compactions stays 0 in every cell).
@@ -233,7 +225,7 @@ def run_resharding_sweep(
     )
     table = BenchmarkTable(
         f"Resharding under Zipf-x skew -- base n={n_base}, {updates} mixed "
-        f"updates, B={block_size}, split at {split_load_factor}x target"
+        f"updates, B={block_size}"
     )
     summary: Summary = {}
     final_live: List[Point] = []

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.api import RangeSkylineIndex
 from repro.core.point import Point
-from repro.core.queries import RangeQuery, choose_structure
+from repro.core.queries import RangeQuery
 from repro.em.config import EMConfig
 from repro.em.counters import IOSnapshot
 from repro.em.storage import StorageManager
@@ -352,11 +352,12 @@ class ShardedServiceBackend:
 
     # -- planning ------------------------------------------------------
     def plan(self, request: QueryRequest) -> QueryPlan:
-        # Every shard (and every leveled component) is a static
-        # RangeSkylineIndex over its resident points; the memtable merge
-        # is in-memory and charges no transfers.  The query additionally
-        # fans across every level structure, so the plan carries one
-        # scope per level and reports the level layout plus the amortized
+        # Every shard (and every level component of more than one block)
+        # is a static RangeSkylineIndex over its resident points; the
+        # memtable, frozen memtables and one-block levels are in memory
+        # and charge no transfers.  The query additionally fans across
+        # every indexed level, so the plan carries one scope per indexed
+        # level and reports the level layout plus the amortized
         # update bound instantiated with the actual B, n, growth factor
         # and memtable capacity.  Each scope records the structure its
         # index routes the rectangle it receives to.
@@ -387,34 +388,31 @@ class ShardedServiceBackend:
             )
             for level in sorted(tower.levels):
                 comp = tower.levels[level]
-                # Mirror the execution-side prune: a level with no
-                # point in the rectangle's x-window answers for free,
-                # so it adds no search term to the predicted cost.
+                layout[level] = layout.get(level, 0) + len(comp)
+                # Mirror the execution side: a level without an index is
+                # read in memory, and one with no point in the
+                # rectangle's x-window is pruned; neither charges, so
+                # neither adds a search term to the predicted cost.
+                if comp.index is None:
+                    continue
                 lo = comp.columns.bisect_x_left(rect.x_lo)
                 if lo < len(comp.points) and comp.points[lo].x <= rect.x_hi:
-                    assert comp.index is not None
                     level_scopes.append(
                         (level, len(comp), comp.index.route(rect))
                     )
-                layout[level] = layout.get(level, 0) + len(comp)
             for ref in tower.inherited:
                 comp = ref.comp
                 layout[-1] = layout.get(-1, 0) + len(ref)
                 # The prune bisect and the route both see the
                 # ref-narrowed rectangle, like the execution side.
                 clipped = clip_query(rect, ref.x_lo, ref.x_hi)
-                if clipped is None:
+                if comp.index is None or clipped is None:
                     continue
                 lo = max(comp.columns.bisect_x_left(clipped.x_lo), ref.lo)
                 if lo < ref.hi and comp.points[lo].x <= clipped.x_hi:
-                    # An inherited frozen memtable has no index; it
-                    # keeps the shape-level choice.
-                    chosen = (
-                        choose_structure(clipped)
-                        if comp.index is None
-                        else comp.index.route(clipped)
+                    level_scopes.append(
+                        (-1, len(ref), comp.index.route(clipped))
                     )
-                    level_scopes.append((-1, len(ref), chosen))
         return build_plan(
             request,
             backend=self.name,

@@ -126,9 +126,10 @@ class ScopePlan:
     with, and ``search_io`` its instantiated k-independent term.
     ``level`` marks the leveled-update-path component the scope belongs
     to (``None`` for a base shard or the monolithic index): on the
-    leveled path a query fans across the base shards *and* every level
-    structure, and the plan carries one scope per instance so the search
-    term stays honest.
+    leveled path a query fans across the base shards *and* every indexed
+    level structure, and the plan carries one scope per instance so the
+    search term stays honest (a level of at most one block is read in
+    memory and gets no scope).
     """
 
     shard: Optional[int]

@@ -45,42 +45,20 @@ class ServiceConfig:
         :meth:`SkylineService.drain` pays all outstanding debt at once.
     adaptive_topology:
         Whether the service's :class:`~repro.service.topology
-        .TopologyManager` manages the shard layout *online*: every
-        ``topology_check_every``-th update it re-examines per-shard load
-        (base residents plus the memtable and level records in each
-        shard's x-range) and splits a hot shard or merges two adjacent
-        cold shards -- each a bounded local operation charged to the
-        maintenance ledger, never a stop-the-world global rebuild.  Off
-        by default: a static-topology service only re-cuts at an explicit
+        .TopologyManager` manages the shard layout *online*: after every
+        applied update it splits a shard whose range load (base residents
+        plus the memtable and tower records in its x-range) reaches twice
+        the target load, else merges the coldest adjacent pair once their
+        combined load is at most half of it, else folds the shard whose
+        tower holds the most records once that reaches one block
+        (``block_size`` records) -- each a bounded local operation charged
+        to the maintenance ledger, never a stop-the-world global rebuild.
+        The thresholds are fixed, not tuned.  Off by default: a
+        static-topology service only re-cuts at an explicit
         :meth:`~repro.service.SkylineService.compact`.  Manual
         :meth:`~repro.service.SkylineService.split_shard` /
-        :meth:`~repro.service.SkylineService.merge_shards` work either
-        way.
-    split_load_factor:
-        A shard is *hot* -- and split at its size-balanced midpoint --
-        when its range load reaches this many times the target load
-        (``live points / shard_count``).  Must exceed 1.
-    merge_load_factor:
-        Two adjacent shards are *cold* -- and merged into one -- when
-        their combined range load is at most this fraction of the target
-        load.  Must be below 1 (and below ``split_load_factor``), or
-        split/merge would thrash.
-    fold_pressure_factor:
-        The adaptive topology's third trigger, after hot splits and cold
-        merges: when the *level-resident* records inside one shard's
-        x-range (its slice of the LSM tower) exceed this fraction of the
-        target load, the shard is *folded* -- rebuilt in place from its
-        tower (:meth:`~repro.service.SkylineService.fold_shard`), a
-        bounded local compaction of just that range that pulls its tower
-        slice down into the base shard and consumes its tombstones, with
-        no cut moved and no neighbour touched.  Keeps a skewed
-        insert stream from accumulating its hot region in ever-deeper
-        level components.  ``0`` disables pressure folds.
-    topology_check_every:
-        How many updates pass between adaptive-topology policy checks.
-        A check is one routing pass over the memtable plus one bisect
-        per (level component, cut); the splits/merges/folds it may
-        trigger are bounded by the affected range's own rebuild cost.
+        :meth:`~repro.service.SkylineService.merge_shards` /
+        :meth:`~repro.service.SkylineService.fold_shard` work either way.
     cache_capacity:
         Maximum number of query results kept in the LRU result cache
         (0 disables caching).
@@ -109,16 +87,6 @@ class ServiceConfig:
         serialises the freshly rebuilt shards to the durable store, which
         bounds WAL replay at recovery to the records logged since.  1
         snapshots at every compaction.
-    reclaim_every_topology_ops:
-        Auto-interleave durable-store garbage collection with topology
-        maintenance: after every Nth online split / merge / fold the
-        service calls :meth:`SkylineService.reclaim`, dropping
-        superseded snapshot generations and the WAL prefix they make
-        redundant.  A long-running serving deployment with adaptive
-        topology otherwise needs an external scheduler to keep the store
-        from growing without bound.  0 (default) disables
-        auto-reclaim; replayed operations during recovery never count.
-        No effect on a non-durable service.
     """
 
     shard_count: int = 4
@@ -129,16 +97,11 @@ class ServiceConfig:
     level_growth: int = 4
     merge_step_blocks: int = 8
     adaptive_topology: bool = False
-    split_load_factor: float = 2.0
-    merge_load_factor: float = 0.5
-    fold_pressure_factor: float = 0.25
-    topology_check_every: int = 16
     cache_capacity: int = 256
     auto_compact: bool = True
     durability: bool = False
     wal_group_commit: int = 8
     snapshot_every_compactions: int = 1
-    reclaim_every_topology_ops: int = 0
 
     def __post_init__(self) -> None:
         if self.shard_count < 1:
@@ -155,24 +118,6 @@ class ServiceConfig:
             raise ValueError(
                 f"merge_step_blocks must be >= 1, got {self.merge_step_blocks}"
             )
-        if self.split_load_factor <= 1.0:
-            raise ValueError(
-                f"split_load_factor must be > 1, got {self.split_load_factor}"
-            )
-        if not 0.0 < self.merge_load_factor < 1.0:
-            raise ValueError(
-                f"merge_load_factor must be in (0, 1), got {self.merge_load_factor}"
-            )
-        # merge_load_factor < 1 < split_load_factor (enforced above) is
-        # the hysteresis that keeps split and merge from thrashing.
-        if self.fold_pressure_factor < 0.0:
-            raise ValueError(
-                f"fold_pressure_factor must be >= 0, got {self.fold_pressure_factor}"
-            )
-        if self.topology_check_every < 1:
-            raise ValueError(
-                f"topology_check_every must be >= 1, got {self.topology_check_every}"
-            )
         if self.cache_capacity < 0:
             raise ValueError(
                 f"cache_capacity must be >= 0, got {self.cache_capacity}"
@@ -185,11 +130,6 @@ class ServiceConfig:
             raise ValueError(
                 "snapshot_every_compactions must be >= 1, got "
                 f"{self.snapshot_every_compactions}"
-            )
-        if self.reclaim_every_topology_ops < 0:
-            raise ValueError(
-                "reclaim_every_topology_ops must be >= 0, got "
-                f"{self.reclaim_every_topology_ops}"
             )
 
     def shard_em_config(self) -> EMConfig:

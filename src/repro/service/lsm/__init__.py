@@ -9,7 +9,8 @@ design:
 * **Levels 1..k** hold immutable static components
   (:class:`~repro.service.lsm.component.Component`) of geometrically
   increasing capacity, each a static top-open/four-sided structure on its
-  own simulated machine.
+  own simulated machine once it holds more than one block (a level of at
+  most ``B`` records stays in memory, unindexed).
 * The :class:`~repro.service.lsm.scheduler.CompactionScheduler` merges a
   level into the next in bounded incremental steps -- at most
   ``ServiceConfig.merge_step_blocks`` block transfers piggybacked per

@@ -1,14 +1,18 @@
 """One immutable component of the leveled update subsystem.
 
-A :class:`Component` is a frozen batch of points.  Level components (the
-result of a merge) are backed by a static :class:`repro.RangeSkylineIndex`
-on a private simulated machine with a private
-:class:`~repro.em.counters.IOStats` ledger -- the same isolation discipline
-as :class:`~repro.service.shard.Shard`, so queries against a level charge
-exactly one ledger and concurrent batch workers never race a counter.
-Frozen memtables (a sealed level 0 awaiting its flush merge) carry no
-index and no machine: they are still in memory, so scanning them is free,
-exactly like the memtable.
+A :class:`Component` is a frozen batch of points.  A level component (the
+result of a merge) of more than one block -- more than ``B`` records -- is
+backed by a static :class:`repro.RangeSkylineIndex` on a private simulated
+machine with a private :class:`~repro.em.counters.IOStats` ledger -- the
+same isolation discipline as :class:`~repro.service.shard.Shard`, so
+queries against a level charge exactly one ledger and concurrent batch
+workers never race a counter.  Frozen memtables (a sealed level 0
+awaiting its flush merge) and level components of at most one block
+carry no index and no machine: they stay in memory, so scanning them is
+free, exactly like the memtable.  The paper's static bound
+``O(log_B n + k/B)`` is one block for ``n <= B``, which is what keeping
+such a component in memory saves on every read; it costs each tower at
+most ``B`` in-memory records per level.
 
 Construction of an indexed component eagerly charges the build to the
 component's *private* ledger.  The ledger only joins the service-wide
@@ -47,7 +51,8 @@ OwnerKey = Tuple[str, int]
 
 
 class Component:
-    """An immutable, x-sorted batch of points, optionally indexed."""
+    """An immutable, x-sorted batch of points, indexed on ``em_config``'s
+    machine when it holds more than one block of them."""
 
     def __init__(
         self,
@@ -55,7 +60,6 @@ class Component:
         points: Sequence[Point],
         em_config: Optional[EMConfig] = None,
         epsilon: float = 0.5,
-        build_index: bool = True,
     ) -> None:
         self.comp_id = comp_id
         self.points: List[Point] = sorted(points, key=lambda p: (p.x, p.y))
@@ -70,8 +74,7 @@ class Component:
         # private level of exactly one tower -- only inherited components
         # handed across topology changes are refcounted).
         self.refs = 0
-        if build_index:
-            assert em_config is not None
+        if em_config is not None and len(self.points) > em_config.block_size:
             self.stats = IOStats()
             self.storage = StorageManager(em_config, stats=self.stats)
             self.index = RangeSkylineIndex(
@@ -116,5 +119,5 @@ class Component:
         return len(self.points)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        kind = "level" if self.index is not None else "frozen"
+        kind = "indexed" if self.index is not None else "in-memory"
         return f"Component({self.comp_id}, {kind}, {len(self.points)} pts)"

@@ -11,8 +11,12 @@ shard's static base index:
   query that visits the shard;
 * **levels 1..k** -- immutable :class:`~repro.service.lsm.Component`
   structures of geometrically increasing capacity
-  (``delta_threshold * level_growth**j`` records at level ``j``), each on
-  its own simulated machine with its own ledger;
+  (``delta_threshold * level_growth**j`` records at level ``j``).  A
+  level of more than one block (``B`` records) is indexed on its own
+  simulated machine with its own ledger; a level of at most one block
+  stays in memory, unindexed and free to read like a frozen memtable.
+  So a tower keeps its frozen memtables plus at most ``B`` records per
+  level in memory;
 * **inherited components** -- whole components handed over by a topology
   change (including a retiring parent's adopted base index), shared with
   sibling towers via :attr:`Component.refs` and read through an
@@ -275,7 +279,7 @@ class LevelManager:
     # ------------------------------------------------------------------
     def seal(self, points: List[Point]) -> Component:
         """Freeze a full memtable and schedule its flush into level 1."""
-        comp = Component(self.next_component_id(), points, build_index=False)
+        comp = Component(self.next_component_id(), points)
         self.frozen.append(comp)
         self.scheduler.schedule(MergeJob("flush", frozen_id=comp.comp_id))
         self._on_layout_change()

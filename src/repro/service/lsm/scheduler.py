@@ -13,17 +13,23 @@ How a merge stays incremental in the simulation
 When a job starts, the merged output component (its sorted run plus its
 static index) is materialised eagerly on a *private* ledger that is not
 part of the service aggregate, and the job remembers the exact read/write
-cost as *debt*.  Each update then mirrors up to ``merge_step_blocks`` of
-that debt onto the service's maintenance ledger -- the only charges the
-aggregate ever sees -- and the output becomes visible (and its private
-ledger joins the aggregate, reset to zero) only once the debt is fully
-paid.  Until then queries keep reading the input components, so pausing
-the merge at any intermediate step is invisible to correctness: the
-visible state is always either "before the merge" or "after the merge",
-never a half-merged hybrid.  Totals are conserved exactly: every staged
-transfer is mirrored once, and input ledgers are retired into the
-accumulator that keeps :meth:`repro.service.SkylineService.io_total`
-monotone.
+cost as *debt*: the output's build plus ``ceil(m/B)`` reads per indexed
+input of ``m`` records.  Each update then mirrors up to
+``merge_step_blocks`` of that debt onto the service's maintenance ledger
+-- the only charges the aggregate ever sees -- and the output becomes
+visible (and its private ledger joins the aggregate, reset to zero) only
+once the debt is fully paid.  Until then queries keep reading the input
+components, so pausing the merge at any intermediate step is invisible
+to correctness: the visible state is always either "before the merge" or
+"after the merge", never a half-merged hybrid.  Totals are conserved
+exactly: every staged transfer is mirrored once, and input ledgers are
+retired into the accumulator that keeps
+:meth:`repro.service.SkylineService.io_total` monotone.
+
+An output of at most one block gets no index (see
+:class:`~repro.service.lsm.Component`): it has no build debt, only the
+reads of its indexed inputs, so a merge of in-memory inputs completes on
+the tick that starts it.
 
 Tombstone lifecycle at a merge
 ------------------------------
@@ -76,15 +82,18 @@ class ActiveMerge:
         output: Component,
         out_level: int,
         consumed: Dict[Key, Point],
+        input_reads: int,
     ) -> None:
         self.job = job
         self.inputs = inputs
         self.output = output
         self.out_level = out_level
         self.consumed = consumed
-        assert output.stats is not None
-        self.debt_reads = output.stats.reads
-        self.debt_writes = output.stats.writes
+        self.debt_reads = input_reads
+        self.debt_writes = 0
+        if output.stats is not None:
+            self.debt_reads += output.stats.reads
+            self.debt_writes = output.stats.writes
 
     @property
     def debt(self) -> int:
@@ -196,16 +205,14 @@ class CompactionScheduler:
             em_config=manager.em_config,
             epsilon=manager.epsilon,
         )
-        assert output.stats is not None
         # A real merge also reads its indexed inputs off their machines:
-        # charge ceil(m/B) reads per indexed input onto the staged ledger
-        # (frozen memtables are in memory, their scan is free).
-        for comp in inputs:
-            if comp.index is not None and comp.points:
-                output.stats.record_read(
-                    math.ceil(len(comp.points) / manager.block_size)
-                )
-        return ActiveMerge(job, inputs, output, out_level, consumed)
+        # ceil(m/B) reads per indexed input (in-memory inputs scan free).
+        input_reads = sum(
+            math.ceil(len(comp.points) / manager.block_size)
+            for comp in inputs
+            if comp.index is not None and comp.points
+        )
+        return ActiveMerge(job, inputs, output, out_level, consumed, input_reads)
 
     def _mirror(self, active: ActiveMerge, step: int) -> None:
         """Move ``step`` staged transfers onto the maintenance ledger."""
@@ -241,8 +248,8 @@ class CompactionScheduler:
         # The build cost was mirrored to the maintenance ledger in steps;
         # reset the private ledger before it joins the aggregate so the
         # transfers are counted exactly once.
-        assert output.stats is not None
-        output.stats.reset()
+        if output.stats is not None:
+            output.stats.reset()
         if output.points:
             manager.install_level(active.out_level, output)
         else:

@@ -210,10 +210,6 @@ class SkylineService:
         self.cache = ResultCache(self.config.cache_capacity)
         self.compactions = 0
         self.drains = 0
-        # Auto-reclaim cadence (reclaim_every_topology_ops): topology
-        # operations since the last store reclaim, and reclaims triggered.
-        self._topology_ops_since_reclaim = 0
-        self.auto_reclaims = 0
         # Build generation: seeds every shard's epoch so cache keys can
         # never collide across compactions.
         self._generation = 0
@@ -867,7 +863,6 @@ class SkylineService:
         self.topology.record(
             "split", sid, cut, touched, self.maintenance.total - charged_before
         )
-        self._maybe_auto_reclaim()
         return cut
 
     def merge_shards(self, sid: int) -> float:
@@ -914,7 +909,6 @@ class SkylineService:
         self.topology.record(
             "merge", sid, cut, touched, self.maintenance.total - charged_before
         )
-        self._maybe_auto_reclaim()
         return cut
 
     def fold_shard(self, sid: int) -> int:
@@ -991,32 +985,13 @@ class SkylineService:
         self.topology.record(
             "fold", sid, None, touched, self.maintenance.total - charged_before
         )
-        self._maybe_auto_reclaim()
         return touched
-
-    def _maybe_auto_reclaim(self) -> None:
-        """Auto-reclaim hook, called after every topology operation.
-
-        With ``reclaim_every_topology_ops=N`` on a durable service, every
-        Nth online split/merge/fold triggers :meth:`reclaim`, so the store
-        sheds superseded snapshots and folded WAL blocks at the same
-        cadence the topology churns them out.  Never fires during WAL
-        replay: recovery must see the store exactly as it was persisted.
-        """
-        every = self.config.reclaim_every_topology_ops
-        if every < 1 or self.store is None or self._replaying:
-            return
-        self._topology_ops_since_reclaim += 1
-        if self._topology_ops_since_reclaim >= every:
-            self._topology_ops_since_reclaim = 0
-            self.auto_reclaims += 1
-            self.reclaim()
 
     def _maybe_rebalance(self) -> None:
         """Adaptive-topology hook, called once per applied update."""
         if self._replaying or not self.config.adaptive_topology:
             return
-        self.topology.on_update()
+        self.topology.maybe_rebalance()
 
     @property
     def _checkpoints(self) -> int:
@@ -1339,9 +1314,10 @@ class SkylineService:
         because sibling towers' clips are disjoint and
         ``merge_component_skylines`` re-runs dominance over the union.
 
-        Frozen memtables are in memory: the scan is free, like the flat
-        delta of old.  Indexed components answer through their static
-        structure unless a tombstone they own lies inside the clipped
+        Components without an index -- frozen memtables and merge
+        outputs of at most one block -- are in memory: the scan is free,
+        like the memtable's.  Indexed components answer through their
+        static structure unless a tombstone they own lies inside the clipped
         rectangle, in which case the local skyline is recomputed from the
         clip's resident live points -- charged as ``ceil(resident / B)``
         block reads on the component's own ledger, the same fallback
@@ -1359,7 +1335,7 @@ class SkylineService:
         if lo >= len(comp.points) or comp.points[lo].x > query.x_hi:
             return [], False
         if comp.index is None:
-            # Frozen memtable: the vectorized in-rectangle filter over the
+            # In memory: the vectorized in-rectangle filter over the
             # component's columns (bisected x-window + y mask) replaces
             # the per-object contains() scan; pending tombstones are
             # checked only when any exist.
@@ -1725,7 +1701,6 @@ class SkylineService:
             durability = dict(self.store.describe())
             durability["wal_pending"] = self.wal.pending
             durability["group_commit"] = self.wal.group_commit_size
-            durability["auto_reclaims"] = self.auto_reclaims
             if self.recovery is not None:
                 durability["recovery"] = dict(self.recovery)
             status["durability_detail"] = durability

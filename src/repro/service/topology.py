@@ -1,4 +1,5 @@
-"""Online shard topology management: hot-shard splits, cold-shard merges.
+"""Online shard topology management: hot-shard splits, cold-shard merges
+and tower folds.
 
 The static shard layout a :class:`~repro.service.SkylineService` is born
 with only ever moved at a full :meth:`~repro.service.SkylineService
@@ -27,14 +28,22 @@ All three are charged to the maintenance ledger (the same escrow
 discipline as the incremental level merges), WAL-logged as
 ``OP_SPLIT``/``OP_MERGE``/``OP_FOLD`` records on a durable service, and
 bounded by the affected range's own ``O(n_shard/B)`` rebuild cost --
-never a global rebuild.  The policy is deliberately hysteretic: a shard
-splits at ``split_load_factor`` times the target load (live points over
-the configured shard count), a pair merges at ``merge_load_factor`` of
-it (``merge < 1 < split``, so the two cannot thrash), and a fold fires
-at ``fold_pressure_factor`` of it.  ``benchmarks/bench_resharding.py``
-measures the payoff: under a Zipf-x mixed workload the adaptive topology
-keeps query I/O near the balanced-uniform baseline while a static
-topology degrades beyond 2x.
+never a global rebuild.
+
+The policy has no knobs.  After every applied update it takes at most
+one action, in this order: split the hottest shard once its load reaches
+twice the target load (live points over the configured shard count),
+else merge the coldest adjacent pair once their combined load is at most
+half of it, else fold the shard whose tower holds the most records once
+that reaches one block (``B`` records).  Doubling and halving are the
+hysteresis of weight-balanced trees: ``merge < 1 < split``, so split
+and merge cannot thrash.  The fold bar is measured in blocks because
+that is where a tower's private levels start to cost reads: a merge
+output of at most ``B`` records stays in memory, unindexed and free to
+read, like a frozen memtable.
+``benchmarks/bench_resharding.py`` measures the payoff: under a Zipf-x
+mixed workload the adaptive topology keeps query I/O near the
+balanced-uniform baseline while a static topology degrades beyond 2x.
 """
 
 from __future__ import annotations
@@ -46,7 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 
 
 class TopologyManager:
-    """Per-shard load statistics and the split/merge policy over them."""
+    """Per-shard load statistics and the split/merge/fold policy over
+    them."""
 
     def __init__(self, service: "SkylineService") -> None:
         self.service = service
@@ -59,7 +69,6 @@ class TopologyManager:
         # changes indefinitely, so only the newest HISTORY_LIMIT entries
         # are retained (the lifetime counts live in splits/merges/folds).
         self.history: List[Dict[str, object]] = []
-        self._updates_since_check = 0
 
     HISTORY_LIMIT = 1024
 
@@ -100,10 +109,6 @@ class TopologyManager:
             loads[sid] += slices[sid]
         return loads, slices
 
-    def range_load(self, sid: int) -> int:
-        """Records resident in shard ``sid``'s x-range, wherever they live."""
-        return self._range_stats()[0][sid]
-
     def range_loads(self) -> List[int]:
         return self._range_stats()[0]
 
@@ -121,44 +126,33 @@ class TopologyManager:
     # ------------------------------------------------------------------
     # Policy
     # ------------------------------------------------------------------
-    def on_update(self) -> None:
-        """Called by the service once per applied update (adaptive mode):
-        every ``topology_check_every``-th call runs one policy check."""
-        self._updates_since_check += 1
-        if self._updates_since_check < self.service.config.topology_check_every:
-            return
-        self._updates_since_check = 0
-        self.maybe_rebalance()
-
     def maybe_rebalance(self) -> Optional[str]:
-        """One policy step: split the hottest shard over the split
-        threshold, else merge the coldest adjacent pair under the merge
-        threshold, else *fold* the shard under the worst level-tower
-        pressure (rebuilt in place from its tower: same cuts, range
-        compacted locally).  At most one action per call, so the work any
-        single update can trigger stays bounded.  Returns ``"split"``,
-        ``"merge"``, ``"fold"`` or ``None``.
+        """One policy step: split the hottest shard at twice the target
+        load, else merge the coldest adjacent pair at half of it or less,
+        else *fold* the shard whose tower holds the most records once
+        that reaches one block (rebuilt in place from its tower: same
+        cuts, range compacted locally).  At most one action per call, so
+        the work any single update can trigger stays bounded.  Returns
+        ``"split"``, ``"merge"``, ``"fold"`` or ``None``.
         """
         service = self.service
-        config = service.config
         loads, slices = self._range_stats()
         target = self.target_load()
         hot = max(range(len(loads)), key=lambda sid: loads[sid])
-        if loads[hot] >= config.split_load_factor * target and loads[hot] >= 2:
+        if loads[hot] >= 2 * target and loads[hot] >= 2:
             if service.split_shard(hot) is not None:
                 return "split"
         if len(loads) > 1:
             cold = min(
                 range(len(loads) - 1), key=lambda sid: loads[sid] + loads[sid + 1]
             )
-            if loads[cold] + loads[cold + 1] <= config.merge_load_factor * target:
+            if loads[cold] + loads[cold + 1] <= target / 2:
                 service.merge_shards(cold)
                 return "merge"
-        if config.fold_pressure_factor > 0:
-            pressured = max(range(len(slices)), key=lambda sid: slices[sid])
-            if slices[pressured] >= config.fold_pressure_factor * target:
-                service.fold_shard(pressured)
-                return "fold"
+        pressured = max(range(len(slices)), key=lambda sid: slices[sid])
+        if slices[pressured] >= service.config.block_size:
+            service.fold_shard(pressured)
+            return "fold"
         return None
 
     # ------------------------------------------------------------------

@@ -184,6 +184,26 @@ def test_explain_prunes_shards_for_narrow_rectangles():
     assert plan.search_io < wide.search_io
 
 
+def spy_structures(monkeypatch, ran, scope, index):
+    """Append ``(scope, structure)`` to ``ran`` whenever one of
+    ``index``'s three structures answers a query."""
+
+    def spy(structure, method):
+        def traced(*args, **kwargs):
+            ran.append((scope, structure))
+            return method(*args, **kwargs)
+
+        return traced
+
+    for attr, name, structure in (
+        ("_top_open", "query_top_open", "top-open"),
+        ("_right_open", "query_top_open", "right-open"),
+        ("_four_sided", "query_four_sided", "four-sided"),
+    ):
+        target = getattr(index, attr)
+        monkeypatch.setattr(target, name, spy(structure, getattr(target, name)))
+
+
 def test_each_scope_runs_the_structure_it_planned(monkeypatch):
     """explain() mirrors dispatch per scope: on rectangles that cross
     shard boundaries, each scope's planned structure is the one whose
@@ -191,29 +211,10 @@ def test_each_scope_runs_the_structure_it_planned(monkeypatch):
     points = make_points(400)
     local, sharded = make_engines(points)
     ran = []
-
-    def spy(scope, structure, method):
-        def traced(*args, **kwargs):
-            ran.append((scope, structure))
-            return method(*args, **kwargs)
-
-        return traced
-
-    def instrument(scope, index):
-        for attr, name, structure in (
-            ("_top_open", "query_top_open", "top-open"),
-            ("_right_open", "query_top_open", "right-open"),
-            ("_four_sided", "query_four_sided", "four-sided"),
-        ):
-            target = getattr(index, attr)
-            monkeypatch.setattr(
-                target, name, spy(scope, structure, getattr(target, name))
-            )
-
-    instrument(None, local.backend.index)
+    spy_structures(monkeypatch, ran, None, local.backend.index)
     service = sharded.backend.service
     for sid, shard in enumerate(service.shards):
-        instrument(sid, shard.index)
+        spy_structures(monkeypatch, ran, sid, shard.index)
     first, third = service.shards[0].points, service.shards[2].points
     x_lo = first[len(first) // 2].x
     x_hi = third[len(third) // 2].x
@@ -248,6 +249,83 @@ def test_each_scope_runs_the_structure_it_planned(monkeypatch):
     assert plan.search_io < sum(
         max(1.0, (scope.n / 16) ** plan.epsilon) for scope in plan.scopes
     )
+
+
+def test_scopes_match_structures_run_on_towers_with_in_memory_components(
+    monkeypatch,
+):
+    """No component without an index gets a plan scope, private or
+    inherited: every planned scope is a structure query that ran, on
+    towers holding an inherited frozen memtable, inherited indexed
+    components and a private one-block level."""
+    points = make_points(400)
+    engine = SkylineEngine.sharded(
+        points,
+        ServiceConfig(
+            shard_count=2,
+            block_size=16,
+            memory_blocks=16,
+            delta_threshold=8,
+            level_growth=4,
+            merge_step_blocks=1,
+        ),
+    )
+    service = engine.backend.service
+    live = list(points)
+
+    def insert(count, x0, y0, ident0):
+        # Quarter offsets keep clear of the integer base coordinates.
+        for i in range(count):
+            p = Point(x0 + i * 3.25, y0 + i * 97.0, ident0 + i)
+            engine.insert(p)
+            live.append(p)
+
+    right = service.router.cuts[0]
+    insert(24, right + 100.25, 100.25, 50_000)
+    engine.drain()  # shard 1's level 1: 24 records, indexed
+    # The 8th insert seals these; no update ticks their flush before the
+    # split hands the frozen memtable to both children.
+    insert(8, right + 10.25, 150.75, 50_100)
+    assert service.shards[1].tower.frozen
+    assert engine.split_shard(1) is not None
+    insert(8, 10.25, 200.25, 50_200)  # sealed into shard 0's tower
+    engine.drain(0)  # shard 0's level 1: 8 records, in memory
+    towers = [shard.tower for shard in service.shards]
+    inherited = [ref.comp for tower in towers for ref in tower.inherited]
+    assert any(comp.index is None for comp in inherited)
+    assert any(comp.index is not None for comp in inherited)
+    assert towers[0].levels[1].index is None
+
+    ran = []
+    indexed = {}  # id(index) -> (index, scope); a shared index spied once
+    for sid, shard in enumerate(service.shards):
+        indexed[id(shard.index)] = (shard.index, (sid, None))
+        for level, comp in shard.tower.levels.items():
+            indexed[id(comp.index)] = (comp.index, (None, level))
+        for ref in shard.tower.inherited:
+            indexed[id(ref.comp.index)] = (ref.comp.index, (None, -1))
+    for index, scope in indexed.values():
+        if index is not None:
+            spy_structures(monkeypatch, ran, scope, index)
+    rects = (
+        RangeQuery(),
+        FourSidedQuery(0, right + 200, 100, 3_000),
+        TopOpenQuery(right, 10_000, 500),
+        RangeQuery(x_lo=0, x_hi=right + 50),
+    )
+    for rect in rects:
+        plan = engine.explain(rect)
+        ran.clear()
+        result = engine.query(QueryRequest(rect, consistency="fresh"))
+        assert canon(result.points) == canon(range_skyline(live, rect))
+        # The split children's bases are empty: their scopes plan no
+        # search (``search_io`` 0) and their shards answer without a read.
+        planned = [scope for scope in plan.scopes if scope.n > 0]
+        assert all(scope.search_io == 0 for scope in plan.scopes if scope.n == 0)
+        assert sorted(ran, key=repr) == sorted(
+            (((scope.shard, scope.level), scope.structure) for scope in planned),
+            key=repr,
+        ), rect
 
 
 def test_explain_performs_no_io():

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +29,7 @@ from repro.baselines.naive import NaiveScanSkyline
 from repro.core.skyline import range_skyline
 from repro.em import EMConfig, StorageManager
 from repro.em.counters import IOStats
-from repro.engine import SkylineEngine
+from repro.engine import QueryRequest, ShardedServiceBackend, SkylineEngine
 from repro.service import (
     CrashSimulator,
     DeltaBuffer,
@@ -290,8 +291,9 @@ def test_plan_prunes_levels_outside_the_rectangle():
             shard_count=2, block_size=16, memory_blocks=16, delta_threshold=8
         ),
     )
-    # Level points all live far to the right of the base universe.
-    for i in range(16):
+    # Level points all live far to the right of the base universe; 24 of
+    # them outgrow one block (B = 16), so the level is indexed.
+    for i in range(24):
         engine.insert(
             Point(9_000_000.0 + i * 1.25, 9_000_000.0 - i * 1.5, 90_000 + i)
         )
@@ -305,6 +307,118 @@ def test_plan_prunes_levels_outside_the_rectangle():
     wide = engine.explain(RangeQuery())
     assert [s for s in wide.scopes if s.level is not None]
     assert wide.search_io > plan.search_io
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_merge_output_is_indexed_only_beyond_one_block(extra):
+    """A merge output of exactly B records stays in memory: no index, no
+    blocks in use, nothing charged to read it and no plan scope, yet it
+    counts in the level layout.  One record more and it is indexed.  Both
+    answer like ``range_skyline``, and a drain snapshot restores the
+    level exactly as it was, index or not."""
+    block = 16
+    size = block + extra
+    points = seed_points(200, seed=23)
+    engine = SkylineEngine.sharded(
+        points,
+        ServiceConfig(
+            shard_count=2,
+            block_size=block,
+            memory_blocks=16,
+            delta_threshold=size,  # the size-th insert seals the memtable
+            level_growth=4,
+            durability=True,
+            wal_group_commit=1,
+        ),
+    )
+    service = engine.backend.service
+    live = list(points)
+    for i in range(size):
+        p = Point(
+            9_000_000.0 + i * 1.25, 5_000.5 + (i * 7 % size) * 1.5, 90_000 + i
+        )
+        engine.insert(p)
+        live.append(p)
+    engine.drain()  # completes the flush; a checkpoint with a snapshot
+    ((slot, comp),) = all_levels(service).items()
+    assert slot[1] == 1 and len(comp) == size
+    in_memory = extra == 0
+    assert (comp.index is None) == in_memory
+    assert (comp.storage is None) == in_memory
+    base_blocks = sum(s.storage.blocks_in_use() for s in service.shards)
+    assert (service.blocks_in_use() == base_blocks) == in_memory
+    over_level = FourSidedQuery(9_000_000.0, 9_000_100.0, 5_000.0, 5_020.0)
+    plan = engine.explain(over_level)
+    level_scopes = [s for s in plan.scopes if s.level is not None]
+    assert len(level_scopes) == (0 if in_memory else 1)
+    assert dict(plan.level_layout)[1] == size
+    # Cold read over the level: everything charged beyond the base
+    # shards' own ledgers is the level's.
+    engine.drop_caches()
+    shards_before = sum(s.stats.total for s in service.shards)
+    report = engine.query(QueryRequest(over_level, consistency="fresh")).report
+    shard_blocks = sum(s.stats.total for s in service.shards) - shards_before
+    if in_memory:
+        assert report.blocks == shard_blocks
+    else:
+        assert report.blocks > shard_blocks
+    queries = [
+        RangeQuery(),
+        over_level,
+        TopOpenQuery(1_000.0, 9_000_010.0, 1_000.0),
+    ]
+    want = [canon_xy(range_skyline(live, q)) for q in queries]
+    assert [canon_xy(a) for a in service.query_many(queries, use_cache=False)] == want
+    recovered = SkylineService.open(service.store)
+    ((rec_slot, rec_comp),) = all_levels(recovered).items()
+    assert rec_slot == slot and canon(rec_comp.points) == canon(comp.points)
+    assert (rec_comp.index is None) == in_memory
+    rec_engine = SkylineEngine(ShardedServiceBackend(recovered))
+    assert len(
+        [s for s in rec_engine.explain(over_level).scopes if s.level is not None]
+    ) == (0 if in_memory else 1)
+    got = recovered.query_many(queries, use_cache=False)
+    assert [canon_xy(a) for a in got] == want
+
+
+def test_in_memory_merge_output_still_pays_for_its_indexed_input():
+    """Tombstones can shrink a merge below one block: its output stays in
+    memory with no build debt, but reading its indexed input still costs
+    ``ceil(m/B)`` reads, charged to maintenance."""
+    block = 16
+    service = SkylineService(
+        seed_points(100, seed=24),
+        ServiceConfig(
+            shard_count=1,
+            block_size=block,
+            memory_blocks=16,
+            delta_threshold=1,  # every insert seals
+            level_growth=32,  # level 1 holds up to 32 records
+        ),
+    )
+    fresh = [
+        Point(5_000.5 + i * 1.25, 5_000.5 + i * 1.5, 70_000 + i)
+        for i in range(21)
+    ]
+    for p in fresh[:20]:
+        service.insert(p)
+    service.drain()
+    (level,) = service.shards[0].tower.levels.values()
+    assert len(level) == 20 and level.index is not None
+    for p in fresh[:15]:
+        assert service.delete(p)
+    service.insert(fresh[20])  # seals one record; its flush is queued
+    maintenance_before = service.maintenance_io()
+    assert service.drain()["merge_io"] == math.ceil(20 / block)
+    assert service.maintenance_io() - maintenance_before == math.ceil(20 / block)
+    (merged,) = service.shards[0].tower.levels.values()
+    assert len(merged) == 6 and merged.index is None
+    assert not service.delta.tombstones
+    live = seed_points(100, seed=24) + fresh[15:]
+    assert canon(service.live_points()) == canon(live)
+    assert canon_xy(service.query(RangeQuery())) == canon_xy(
+        range_skyline(live, RangeQuery())
+    )
 
 
 # ----------------------------------------------------------------------
@@ -548,7 +662,9 @@ def test_explain_reports_level_layout_and_update_bound():
             level_growth=4,
         ),
     )
-    for i in range(20):
+    # 24 inserts outgrow one block (B = 16): the level they land in is
+    # indexed and contributes a scope.
+    for i in range(24):
         engine.insert(Point(800_000.0 + i * 1.25, 800_000.0 + i * 1.5, 60_000 + i))
     engine.drain()
     service = engine.backend.service

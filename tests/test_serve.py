@@ -21,9 +21,6 @@ The acceptance properties:
   block-identically to the default inline executor, waits for every
   worklist before re-raising a failure, and leaves no worker behind
   once its server stops.
-* **Auto-reclaim** -- ``ServiceConfig(reclaim_every_topology_ops=N)``
-  interleaves durable-store reclamation with every Nth topology
-  operation.
 """
 
 from __future__ import annotations
@@ -480,47 +477,7 @@ def test_percentile_is_nearest_rank():
     assert percentile(values, 0.99) == 99
 
 
-# ----------------------------------------------------------------------
-# Auto-reclaim (ServiceConfig.reclaim_every_topology_ops)
-# ----------------------------------------------------------------------
-def test_auto_reclaim_interleaves_with_topology_ops():
-    pool = uniform_points(512 + 96, universe=1_000_000, seed=31)
-    service = SkylineService(
-        pool[:512],
-        ServiceConfig(durability=True, reclaim_every_topology_ops=2, **CFG),
-    )
-    for point in pool[512:]:
-        service.insert(point)
-    assert service.split_shard(0) is not None
-    assert service.auto_reclaims == 0  # first op: cadence not reached
-    assert service.split_shard(0) is not None
-    assert service.auto_reclaims == 1  # second op reclaimed
-    service.merge_shards(0)
-    service.merge_shards(0)
-    assert service.auto_reclaims == 2
-    assert service.describe()["durability_detail"]["auto_reclaims"] == 2
-    # Reclaim kept only the newest manifest.
-    assert len(service.store.manifests) <= 1
-
-
-def test_auto_reclaim_disabled_and_non_durable_are_inert():
-    base = uniform_points(256, universe=1_000_000, seed=33)
-    plain = SkylineService(base, ServiceConfig(**CFG))
-    plain.split_shard(0)
-    plain.split_shard(0)
-    assert plain.auto_reclaims == 0
-    durable_off = SkylineService(
-        base,
-        ServiceConfig(durability=True, reclaim_every_topology_ops=0, **CFG),
-    )
-    durable_off.split_shard(0)
-    durable_off.split_shard(0)
-    assert durable_off.auto_reclaims == 0
-
-
-def test_config_rejects_negative_reclaim_cadence():
-    with pytest.raises(ValueError):
-        ServiceConfig(reclaim_every_topology_ops=-1)
+def test_server_config_rejects_invalid_values():
     with pytest.raises(ValueError):
         ServerConfig(gather_window=-0.1)
     with pytest.raises(ValueError):

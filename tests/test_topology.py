@@ -10,8 +10,10 @@ The acceptance properties:
   untouched shards keep their uid, their cached answers and their
   tombstone buckets.
 * **Adaptive policy** -- a skewed insert stream triggers hot-shard
-  splits and pressure folds (never a compaction); a delete flood on one
-  region triggers a cold merge.
+  splits at twice the target load and folds once a tower holds one
+  block (never a compaction); a delete flood on one region triggers a
+  cold merge; a drifting hot band and a two-centre Zipf stream end
+  balanced with exact answers and an exact ledger partition.
 * **Reporting** -- the router's actual shard count is authoritative in
   ``describe()`` and plans, including when ``size_balanced_cuts``
   legitimately returns fewer cuts than ``shard_count - 1``.
@@ -271,13 +273,10 @@ def test_skewed_stream_triggers_splits_and_folds_never_compaction():
             delta_threshold=64,
             level_growth=2,
             adaptive_topology=True,
-            split_load_factor=1.5,
-            fold_pressure_factor=0.1,
-            topology_check_every=8,
         ),
     )
     stream = zipf_x_points(
-        1_500, universe=1_000_000, ident_base=5_000_000, seed=10
+        2_000, universe=1_000_000, ident_base=5_000_000, seed=10
     )
     live = list(base)
     for p in stream:
@@ -303,8 +302,6 @@ def test_delete_flood_on_one_region_triggers_cold_merge():
             memory_blocks=16,
             delta_threshold=100_000,  # keep the tombstone valve shut
             adaptive_topology=True,
-            merge_load_factor=0.5,
-            topology_check_every=8,
         ),
     )
     live = list(base)
@@ -316,6 +313,118 @@ def test_delete_flood_on_one_region_triggers_cold_merge():
     assert service.topology.merges >= 1
     assert len(service.shards) < 8
     checked(service, live, [RangeQuery(), TopOpenQuery(0.0, boundary, 0.0)])
+
+
+def test_fold_fires_when_a_tower_reaches_one_block():
+    """The fold bar is one block: a tower of B - 1 records stays, and the
+    update that brings it to B records folds it into the base."""
+    block = 16
+    base = uniform_points(400, universe=1_000_000, seed=13)
+    service = SkylineService(
+        base,
+        ServiceConfig(
+            shard_count=2,
+            block_size=block,
+            memory_blocks=8,
+            delta_threshold=1,  # every insert seals into the tower
+            adaptive_topology=True,
+        ),
+    )
+    sid = service.router.route_point(900_000.5)
+    live = list(base)
+    for i in range(block):
+        p = Point(900_000.5 + i * 1.25, 900_000.5 + i * 1.5, 40_000 + i)
+        service.insert(p)
+        live.append(p)
+        tower = service.shards[sid].tower
+        if i < block - 1:
+            assert service.topology.folds == 0
+            assert tower.resident() == i + 1
+    assert service.topology.folds == 1
+    assert service.shards[sid].tower.resident() == 0
+    assert service.topology.splits == service.topology.merges == 0
+    checked(service, live, [RangeQuery(), TopOpenQuery(800_000.0, 1e6, 0.0)])
+
+
+def drifting_band_stream(n, universe, seed):
+    """A hot band whose centre drifts across three positions."""
+    rng = random.Random(seed)
+    centres = [c for c in (0.2, 0.5, 0.8) for _ in range(n // 3)]
+    return [
+        Point(
+            rng.uniform(c - 0.01, c + 0.01) * universe,
+            rng.uniform(0, universe),
+            6_000_000 + k,
+        )
+        for k, c in enumerate(centres)
+    ]
+
+
+def two_centre_zipf_stream(n, universe, seed):
+    """A Zipf-x stream with two hot centres, interleaved."""
+    left = zipf_x_points(
+        n // 2, universe, hot_center=0.3, ident_base=7_000_000, seed=seed
+    )
+    right = zipf_x_points(
+        n // 2, universe, hot_center=0.7, ident_base=8_000_000, seed=seed + 1
+    )
+    return [p for pair in zip(left, right) for p in pair]
+
+
+@pytest.mark.parametrize(
+    "make_stream", [drifting_band_stream, two_centre_zipf_stream]
+)
+def test_adaptive_streams_stay_exact_and_balanced(make_stream):
+    """Two skewed streams through an adaptive engine: answers match
+    ``range_skyline`` at every checkpoint, the ledger partition holds
+    after every operation, nothing compacts, and no shard ends at or
+    beyond twice the target load."""
+    universe = 1_000_000
+    base = uniform_points(400, universe=universe, seed=14)
+    engine = SkylineEngine.sharded(
+        base,
+        ServiceConfig(
+            shard_count=8,
+            block_size=32,
+            memory_blocks=16,
+            delta_threshold=64,
+            level_growth=2,
+            adaptive_topology=True,
+        ),
+    )
+    service = engine.backend.service
+    live = list(base)
+    recent = []
+    queries = [
+        RangeQuery(),
+        TopOpenQuery(150_000.0, 350_000.0, 0.0),
+        FourSidedQuery(250_000.0, 750_000.0, 100_000.0, 900_000.0),
+        TopOpenQuery(690_000.0, 810_000.0, 500_000.0),
+    ]
+    for i, point in enumerate(make_stream(2_000, universe, seed=15)):
+        if i % 8 == 7 and recent:
+            victim = recent.pop()
+            assert engine.delete(victim).applied
+            live.remove(victim)
+        else:
+            engine.insert(point)
+            live.append(point)
+            recent = (recent + [point])[-8:]
+        assert (
+            engine.attributed_io() + engine.maintenance_io()
+            == engine.io_total() - engine.build_io
+        ), f"partition broke after op {i}"
+        if i % 250 == 249:
+            for q in queries:
+                got = engine.query(QueryRequest(rect=q, consistency="fresh"))
+                assert canon_xy(got.points) == canon_xy(
+                    range_skyline(live, q)
+                ), f"answers diverge at op {i}"
+    topo = service.topology.describe()
+    assert service.topology.splits >= 1
+    assert service.compactions == 0
+    assert max(topo["shard_loads"]) < 2 * topo["target_load"]
+    assert canon(service.live_points()) == canon(live)
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +451,6 @@ def test_interleaved_topology_ops_match_naive_and_partition_ledger(
             level_growth=2,
             merge_step_blocks=2,
             adaptive_topology=adaptive,
-            topology_check_every=4,
         ),
     )
     service = engine.backend.service
