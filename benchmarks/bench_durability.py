@@ -1,6 +1,6 @@
 """Durability tier: WAL amortisation and recovery cost, with JSON output.
 
-Claims (ISSUE 2 acceptance):
+The bench asserts that:
 
 * WAL group commit amortises durability writes exactly as modelled --
   ``floor(U / g) * ceil(g / B)`` block writes for ``U`` updates at group

@@ -1,6 +1,6 @@
 """Service tier: sharded ``query_many`` vs the monolithic index.
 
-Claim (ISSUE 1 acceptance): on shard-prunable workloads -- narrow
+The bench asserts that on shard-prunable workloads -- narrow
 top-open batches whose x-extent is well under one shard's range -- the
 sharded :class:`repro.service.SkylineService` performs fewer total block
 transfers than the monolithic :class:`repro.RangeSkylineIndex`, at every

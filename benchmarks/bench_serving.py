@@ -1,6 +1,6 @@
 """Serving tier: coalescing I/O savings, shed-bounded tails, closed loop.
 
-Claims (ISSUE 6 acceptance):
+The bench asserts that:
 
 * on a Zipf-skewed multi-client read burst, **cross-caller coalescing
   reduces total block transfers** versus serving every submission alone

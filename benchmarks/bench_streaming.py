@@ -1,6 +1,6 @@
 """Streaming tier: scoped delta notifications, window amortization.
 
-Claims (ISSUE 8 acceptance):
+The bench asserts that:
 
 * on a Zipf-skewed insert stream watched by **>= 8 subscribers**,
   continuous-subscription **delta delivery costs at least 3x fewer block

@@ -2,7 +2,10 @@
 
 Claim: O(n/B) space and O((n/B)^eps + k/B) query I/Os, which is optimal in
 the indexability model (the matching lower bound is exercised by
-``bench_table1_antidominance_lb``).  The sweep varies n and eps.
+``bench_table1_antidominance_lb``).  The sweep varies n and eps.  Its rows
+measure the packed static layout (``dynamic=False``, the one static indexes
+build); each row also builds the dynamic layout over the same points and
+checks that the static one uses no more blocks and no more query I/Os.
 """
 
 from __future__ import annotations
@@ -23,11 +26,16 @@ QUERIES_PER_CONFIG = 8
 def run_sweep() -> BenchmarkTable:
     table = BenchmarkTable("Table 1 row 5 -- 4-sided range skyline (static)")
     for n, epsilon in SWEEP:
-        storage = make_storage(block_size=BLOCK_SIZE)
         points = uniform_points(n, seed=n + int(100 * epsilon))
-        structure = FourSidedStructure(storage, points, epsilon=epsilon)
         queries = four_sided_queries(points, QUERIES_PER_CONFIG, selectivity=0.4, seed=n)
-        io_per_query, avg_k = measure_queries(storage, structure, queries)
+        layouts = {}
+        for dynamic in (False, True):
+            storage = make_storage(block_size=BLOCK_SIZE)
+            structure = FourSidedStructure(storage, points, epsilon=epsilon, dynamic=dynamic)
+            io_per_query, avg_k = measure_queries(storage, structure, queries)
+            layouts[dynamic] = (io_per_query, avg_k, storage.blocks_in_use(), structure.height())
+        io_per_query, avg_k, blocks, height = layouts[False]
+        dynamic_io, _, dynamic_blocks, _ = layouts[True]
         table.add(
             measured_io=io_per_query,
             predicted=four_sided_query_bound(n, int(avg_k), BLOCK_SIZE, epsilon),
@@ -35,7 +43,10 @@ def run_sweep() -> BenchmarkTable:
             eps=epsilon,
             B=BLOCK_SIZE,
             avg_k=round(avg_k, 1),
-            height=structure.height(),
+            height=height,
+            blocks=blocks,
+            dynamic_io=round(dynamic_io, 2),
+            dynamic_blocks=dynamic_blocks,
         )
     return table
 
@@ -53,9 +64,17 @@ def test_foursided_query_shape(benchmark, sweep_table, capsys):
 
     storage = make_storage(block_size=BLOCK_SIZE)
     points = uniform_points(512, seed=5)
-    structure = FourSidedStructure(storage, points, epsilon=0.5)
+    structure = FourSidedStructure(storage, points, epsilon=0.5, dynamic=False)
     query = four_sided_queries(points, 1, selectivity=0.4, seed=5)[0]
     benchmark(lambda: structure.query(query))
+
+
+def test_static_layout_is_no_larger_and_no_slower(sweep_table):
+    """Per row, the packed static layout uses at most the dynamic layout's
+    blocks and its cold query I/Os."""
+    for row in sweep_table.rows:
+        assert row.params["blocks"] <= row.params["dynamic_blocks"], row.params
+        assert row.measured_io <= row.params["dynamic_io"], row.params
 
 
 def test_query_many_batches_match_and_share_warmth(capsys):

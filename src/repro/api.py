@@ -66,8 +66,10 @@ class RangeSkylineIndex:
     dynamic:
         With ``dynamic=True`` the easy orientations are backed by the
         dynamic structure of Theorem 4 (so :meth:`insert` / :meth:`delete`
-        are supported); otherwise the static structures of Theorems 1 and 6
-        are used and updates raise ``TypeError``.
+        are supported) and the 4-sided structure keeps room for in-place
+        updates; otherwise the static structures of Theorems 1 and 6 are
+        used, the 4-sided one packed full (see
+        :mod:`repro.structures.foursided`), and updates raise ``TypeError``.
     epsilon:
         The query/update trade-off knob of Theorems 4 and 6.
 
@@ -119,6 +121,7 @@ class RangeSkylineIndex:
             storage,
             self.points,
             epsilon=structure_epsilon(STRUCTURE_FOUR_SIDED, epsilon),
+            dynamic=dynamic,
         )
 
     # ------------------------------------------------------------------

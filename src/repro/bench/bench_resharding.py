@@ -33,6 +33,10 @@ Claims, asserted by :func:`check`:
 * the **ledger partition** ``attributed + maintenance == total - build``
   holds on every cell.
 
+Every cell also records its end-state ``space_amp``, ``blocks_in_use *
+B / live points``, which ``tools/bench_guard`` holds to the committed
+baseline.
+
 ``benchmarks/bench_resharding.py`` drives the sweep (pytest or
 ``--quick`` CLI) and persists the table to ``BENCH_resharding.json``.
 """
@@ -43,6 +47,7 @@ import random
 import time
 from typing import Dict, List, Sequence, Tuple
 
+from repro.bench.harness import space_amp
 from repro.bench.reporting import BenchmarkTable
 from repro.core.point import Point
 from repro.core.queries import FourSidedQuery, TopOpenQuery
@@ -270,6 +275,7 @@ def run_resharding_sweep(
             "worst_move_ratio": round(worst_move_ratio, 3),
             "worst_step_io": worst_step_io,
             "maintenance_io": float(engine.maintenance_io()),
+            "space_amp": space_amp(service),
             "ledger_ok": 1.0,
             **counters,
         }
@@ -290,6 +296,7 @@ def run_resharding_sweep(
         # The measured price of one stop-the-world global rebuild over
         # the final live set: the locality yardstick for split costs.
         "global_rebuild_io": float(baseline.build_io),
+        "space_amp": space_amp(baseline.backend.service),
         "ledger_ok": 1.0,
     }
     for mode in ("uniform-baseline", "static", "adaptive"):
@@ -306,6 +313,7 @@ def run_resharding_sweep(
             compactions=cell.get("compactions", 0.0),
             worst_step_ratio=cell.get("worst_step_ratio", 0.0),
             maintenance_io=cell.get("maintenance_io", 0.0),
+            space_amp=cell["space_amp"],
         )
     return table, summary
 

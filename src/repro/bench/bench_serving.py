@@ -41,6 +41,7 @@ CLI) and persists the table to ``BENCH_serving.json``.
 
 from __future__ import annotations
 
+import gc
 import random
 import threading
 import time
@@ -136,7 +137,12 @@ def _serve_burst(
     independent of CI timing noise.  Returns the per-request outcomes
     (``ServedQuery`` or the typed exception), the serving reports of the
     served requests, and the cell counters.
+
+    Every burst starts from an empty cycle collector, so a full
+    collection of the garbage earlier cells left cannot land inside one
+    cell's timed burst and not another's.
     """
+    gc.collect()
     server = SkylineServer(engine, config, start=False)
     io_before = engine.io_total()
     futures = [server.submit_query(request) for request in requests]

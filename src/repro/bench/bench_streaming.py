@@ -7,7 +7,7 @@ on the simulated machines) next to wall-clock seconds:
    ``delta`` / ``naive``): the same Zipf-skewed insert stream lands on
    the same sharded engine twice, watched by the same ``subscribers``
    x-band rectangles.  The ``naive`` tier re-runs every subscription
-   after every update (the recompute-per-tick baseline the ISSUE names);
+   after every update (the recompute-per-tick baseline);
    the ``delta`` tier pumps a :class:`repro.stream.SubscriptionManager`,
    whose per-shard ``(uid, write_version)`` scopes recompute only the
    subscriptions overlapping a written shard.  With ``alpha = 4`` most
@@ -22,7 +22,7 @@ on the simulated machines) next to wall-clock seconds:
    maintenance at Theorem 3's O(1/b) amortized transfers per point) and
    once by a :class:`repro.structures.DynamicTopOpenStructure` kept in
    sync by insert-new / delete-expired replay (the logarithmic dynamic
-   structure the ISSUE names as the baseline).  Checkpoint skylines are
+   structure, as the baseline).  Checkpoint skylines are
    compared between the two, and the claim is a strictly smaller
    amortized per-point maintenance cost for the window.
 

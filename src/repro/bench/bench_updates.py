@@ -13,6 +13,9 @@ service's leveled update path and measures, per cell:
   updates, which fan across the level structures; the bound is 1.5x the
   mean the removed stop-the-world ``O(n/B)`` rebuild path measured on
   the same op sequence (:data:`LEGACY_MEAN_QUERY_IO`);
+* **space amplification** -- ``blocks_in_use * B / live points`` at the
+  end of the cell, which ``tools/bench_guard`` holds to the committed
+  baseline;
 * the **ledger partition** -- ``attributed + maintenance == total -
   build`` is asserted on every cell before its row is recorded.
 
@@ -27,6 +30,7 @@ import random
 import time
 from typing import Dict, List, Sequence, Tuple
 
+from repro.bench.harness import space_amp
 from repro.bench.reporting import BenchmarkTable
 from repro.core.point import Point
 from repro.core.queries import FourSidedQuery, RangeQuery, TopOpenQuery
@@ -164,6 +168,7 @@ def run_update_path_sweep(
             "compactions": service.compactions,
             "merges_completed": service.merges_completed,
             "maintenance_io": engine.maintenance_io(),
+            "space_amp": space_amp(service),
             "levels": max(
                 (len(tower.levels) for tower in service.towers()),
                 default=0,
@@ -190,6 +195,7 @@ def run_update_path_sweep(
             merges=cell["merges_completed"],
             levels=cell["levels"],
             maintenance_io=cell["maintenance_io"],
+            space_amp=cell["space_amp"],
             update_bound=plan.update_bound,
         )
     return table, summary

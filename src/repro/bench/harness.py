@@ -8,11 +8,19 @@ from repro.core.point import Point
 from repro.core.queries import RangeQuery
 from repro.em.config import EMConfig
 from repro.em.storage import StorageManager
+from repro.service import SkylineService
 
 
 def make_storage(block_size: int = 64, memory_blocks: int = 32) -> StorageManager:
     """A fresh simulated machine for one benchmark configuration."""
     return StorageManager(EMConfig(block_size=block_size, memory_blocks=memory_blocks))
+
+
+def space_amp(service: SkylineService) -> float:
+    """Blocks in use per live point, in units of ``1/B``: ``blocks_in_use *
+    B / live points``, as perfbench reports it."""
+    blocks = service.blocks_in_use() * service.config.block_size
+    return round(blocks / max(1, len(service)), 3)
 
 
 def measure_build(

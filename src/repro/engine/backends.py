@@ -360,7 +360,9 @@ class ShardedServiceBackend:
         # level and reports the level layout plus the amortized
         # update bound instantiated with the actual B, n, growth factor
         # and memtable capacity.  Each scope records the structure its
-        # index routes the rectangle it receives to.
+        # index routes the rectangle it receives to.  An empty base shard
+        # (a split or merge child built over no points) runs no
+        # structure, so it counts as visited but gets no scope.
         service = self.service
         config = service.config
         rect = request.rect
@@ -369,7 +371,8 @@ class ShardedServiceBackend:
         for sid in visited:
             shard = service.shards[sid]
             assert shard.index is not None
-            scopes.append((sid, len(shard), shard.index.route(rect)))
+            if len(shard):
+                scopes.append((sid, len(shard), shard.index.route(rect)))
         level_scopes: List[Tuple[int, int, str]] = []
         # Towers are per-shard: the layout and the per-level search
         # terms are instantiated over the *visited* shards' towers
@@ -420,6 +423,7 @@ class ShardedServiceBackend:
             epsilon=config.epsilon,
             dynamic=False,
             scopes=scopes,
+            shards_visited=len(visited),
             shards_pruned=len(service.shards) - len(visited),
             level_scopes=level_scopes,
             level_layout=[(level, layout[level]) for level in sorted(layout)],

@@ -218,6 +218,7 @@ def build_plan(
     epsilon: float,
     dynamic: bool,
     scopes: Sequence[Tuple[Optional[int], int, str]],
+    shards_visited: Optional[int] = None,
     shards_pruned: int = 0,
     level_scopes: Sequence[Tuple[int, int, str]] = (),
     level_layout: Sequence[Tuple[int, int]] = (),
@@ -230,7 +231,9 @@ def build_plan(
     ``scopes`` lists the structure instances that will serve the request
     as ``(shard_id_or_None, resident_points, structure)`` triples;
     ``level_scopes`` lists the leveled components the query additionally
-    fans across as ``(level, resident_points, structure)`` triples.  Each
+    fans across as ``(level, resident_points, structure)`` triples.
+    ``shards_visited`` counts the routed shards, empty ones included (by
+    default one per scope).  Each
     ``structure`` is the one that instance's index picks
     (:meth:`repro.RangeSkylineIndex.route`).  ``epsilon`` is the knob the
     indexes were built with, and :func:`repro.api.structure_epsilon`
@@ -279,7 +282,7 @@ def build_plan(
         epsilon=plan_epsilon,
         dynamic=dynamic,
         scopes=scope_plans,
-        shards_visited=len(scopes),
+        shards_visited=len(scopes) if shards_visited is None else shards_visited,
         shards_pruned=shards_pruned,
         search_io=search_io,
         per_result_io=per_result,

@@ -8,9 +8,16 @@ RayDragStructure             Lemma 4    (ray dragging in O(1) I/Os)
 FewPointStructure            Lemma 5    (top-open on few points)
 RankSpaceTopOpenStructure    Theorem 2  (rank space, O(1 + k/B) query)
 GridTopOpenStructure         Corollary 1 ([U]^2, O(log log_B U + k/B))
-DynamicTopOpenStructure      Theorem 4  (dynamic, I/O-CPQA based)
-FourSidedStructure           Theorem 6  (4-sided, O((n/B)^eps + k/B))
+DynamicTopOpenStructure      Theorem 4  (dynamic, I/O-CPQA based;
+                             ``dynamic=False`` packs it full)
+FourSidedStructure           Theorem 6  (4-sided, O((n/B)^eps + k/B);
+                             ``dynamic=False`` packs it full)
 ===========================  ==========================================
+
+A static :class:`repro.RangeSkylineIndex` builds the packed 4-sided
+structure: full base leaves and full right-open structures at its own
+``eps``, which takes a 12.5k-point structure at B=64 from 2776 blocks to
+617.
 
 All structures share the same conventions: points come from
 :mod:`repro.core`, blocks are charged through a

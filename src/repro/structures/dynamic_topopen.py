@@ -15,6 +15,14 @@ the O(a log_a(n/B)) canonical nodes of the x-range (plus temporary queues
 over the in-range points of the two boundary leaves) and pops elements until
 the key exceeds ``-y_lo``, reporting the range skyline top-down in
 ``O(log_{2B^eps}(n/B) + k/B^{1-eps})`` I/Os.
+
+A structure built with ``dynamic=False`` is only ever bulk-loaded, so it is
+packed full: every leaf holds the most a leaf may hold (``2 *
+leaf_capacity`` points, at most ``B``) and every queue record ``B``
+elements, which keeps the ``k/B`` reporting term of the static bounds;
+:meth:`insert` and :meth:`delete` then raise ``TypeError``.  The 4-sided
+structure of Theorem 6 builds its right-open structures this way inside a
+static index.
 """
 
 from __future__ import annotations
@@ -74,25 +82,34 @@ class _Internal:
 
 
 class DynamicTopOpenStructure:
-    """Dynamic, linear-space top-open range skyline structure (Theorem 4)."""
+    """Dynamic, linear-space top-open range skyline structure (Theorem 4).
+
+    ``dynamic=False`` packs the bulk-loaded layout full (full leaves, queue
+    records of ``B`` elements) and refuses updates with ``TypeError``.
+    """
 
     def __init__(
         self,
         storage: StorageManager,
         points: Optional[Iterable[Point]] = None,
         epsilon: float = 0.5,
+        dynamic: bool = True,
     ) -> None:
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         self.storage = storage
         self.epsilon = epsilon
+        self.dynamic = dynamic
         block = storage.block_size
         # Leaves hold between ``leaf_capacity`` and ``2 * leaf_capacity``
         # points and must fit one block; internal nodes hold between
         # ``fanout`` and ``2 * fanout`` children under the same constraint.
         self.fanout = min(max(2, math.ceil(2 * block ** epsilon)), max(2, block // 2))
         self.leaf_capacity = max(2, block // 2)
-        self.record_capacity = max(1, int(round(block ** (1.0 - epsilon))))
+        if dynamic:
+            self.record_capacity = max(1, int(round(block ** (1.0 - epsilon))))
+        else:
+            self.record_capacity = block
         self._count = 0
         self.root_id = self.storage.create(_Leaf(points=[], queue=self._empty_queue()))
         if points is not None:
@@ -120,7 +137,11 @@ class DynamicTopOpenStructure:
         self.storage.free(self.root_id)
         self._count = len(points_sorted_by_x)
         level: List[Tuple[int, float, IOCPQA]] = []
-        capacity = self.leaf_capacity
+        if self.dynamic:
+            capacity = self.leaf_capacity
+        else:
+            # Never split, so fill each leaf to the most it may hold.
+            capacity = min(self.storage.block_size, 2 * self.leaf_capacity)
         for start in range(0, len(points_sorted_by_x), capacity):
             chunk = list(points_sorted_by_x[start : start + capacity])
             queue = self._leaf_queue(chunk)
@@ -156,6 +177,7 @@ class DynamicTopOpenStructure:
     # ------------------------------------------------------------------
     def insert(self, point: Point) -> None:
         """Insert ``point`` in O(log_{2B^eps}(n/B)) I/Os (plus leaf queue writes)."""
+        self._require_dynamic()
         path = self._descend(point.x)
         leaf_id, leaf = path[-1]
         leaf.points.append(point)
@@ -176,6 +198,7 @@ class DynamicTopOpenStructure:
         (the facade's right-open structure stores the axis-swapped copy of
         each point, and the swap preserves ``ident``).
         """
+        self._require_dynamic()
         path = self._descend(point.x)
         leaf_id, leaf = path[-1]
         victim = resolve_victim_index(leaf.points, point)
@@ -187,6 +210,12 @@ class DynamicTopOpenStructure:
         self._count -= 1
         self._refresh_path(point.x)
         return True
+
+    def _require_dynamic(self) -> None:
+        if not self.dynamic:
+            raise TypeError(
+                "this structure was packed statically; pass dynamic=True to update it"
+            )
 
     def _descend(self, x: float) -> List[Tuple[int, object]]:
         path: List[Tuple[int, object]] = []

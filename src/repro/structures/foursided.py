@@ -20,6 +20,16 @@ right-open query, which :class:`repro.RangeSkylineIndex` sends to its own
 right-open structure.  Updates insert into the O(1) right-open structures
 along the leaf path and rebuild the base tree periodically, for
 ``O(log(n/B))`` amortized I/Os.
+
+Two layouts share this code.  The dynamic one (the default) leaves room
+for in-place updates: base leaves are half full and every ``R(u)`` is a
+fanout-2 tree (``eps = 0``) with half-full leaves.  A static structure
+(``dynamic=False``, what a static :class:`repro.RangeSkylineIndex` builds)
+is only ever rebuilt, so it packs full: base leaves of ``B`` points, and
+each ``R(u)`` bulk-loaded with full leaves, queue records of ``B``
+elements and this structure's own ``eps``.  Full leaves drop a base-tree
+level, and with it one ``R(u)`` copy of every point; records of ``B``
+keep the reporting term at ``k/B``.  Updates on it raise ``TypeError``.
 """
 
 from __future__ import annotations
@@ -87,18 +97,24 @@ class _InternalBlock:
 
 
 class FourSidedStructure:
-    """Linear-space structure for general (4-sided) range skyline queries."""
+    """Linear-space structure for general (4-sided) range skyline queries.
+
+    ``dynamic=False`` builds the packed static layout of the module
+    docstring and refuses :meth:`insert` and :meth:`delete`.
+    """
 
     def __init__(
         self,
         storage: StorageManager,
         points: Optional[Iterable[Point]] = None,
         epsilon: float = 0.5,
+        dynamic: bool = True,
     ) -> None:
         if not 0.0 < epsilon <= 1.0:
             raise ValueError("epsilon must lie in (0, 1]")
         self.storage = storage
         self.epsilon = epsilon
+        self.dynamic = dynamic
         self.points: List[Point] = sorted(points or [], key=lambda p: p.x)
         self.root_id: Optional[int] = None
         self._updates_since_build = 0
@@ -117,9 +133,12 @@ class FourSidedStructure:
         """Rebuild the whole base tree (used initially and after many updates)."""
         self._updates_since_build = 0
         self._size_at_build = len(self.points)
-        # Leaves are filled to half a block so subsequent insertions have room
-        # before the next (amortized) rebuild.
-        leaf_fill = max(2, self.storage.block_size // 2)
+        # Dynamic leaves are filled to half a block so subsequent insertions
+        # have room before the next (amortized) rebuild; static ones are full.
+        if self.dynamic:
+            leaf_fill = max(2, self.storage.block_size // 2)
+        else:
+            leaf_fill = self.storage.block_size
         fanout = self._fanout_for(len(self.points))
         ordered = sorted(self.points, key=lambda p: p.x)
         if not ordered:
@@ -144,7 +163,8 @@ class FourSidedStructure:
                 right_open = None if is_root else DynamicTopOpenStructure(
                     self.storage,
                     points=swapped[run_start:run_end],
-                    epsilon=0.0,
+                    epsilon=0.0 if self.dynamic else self.epsilon,
+                    dynamic=self.dynamic,
                 )
                 node = _InternalBlock(
                     children=[entry[0] for entry in group],
@@ -161,6 +181,7 @@ class FourSidedStructure:
     # ------------------------------------------------------------------
     def insert(self, point: Point) -> None:
         """Insert a point; the base tree is rebuilt periodically."""
+        self._require_dynamic()
         self.points.append(point)
         self._updates_since_build += 1
         if self._needs_rebuild():
@@ -198,6 +219,7 @@ class FourSidedStructure:
         swapped right-open structures along the path -- so every secondary
         structure drops the same identity as the primary point list.
         """
+        self._require_dynamic()
         victim = resolve_victim_index(self.points, point)
         if victim is None:
             return False
@@ -217,6 +239,12 @@ class FourSidedStructure:
             if node.right_open is not None:
                 node.right_open.delete(_swap(stored))
         return True
+
+    def _require_dynamic(self) -> None:
+        if not self.dynamic:
+            raise TypeError(
+                "this structure was packed statically; pass dynamic=True to update it"
+            )
 
     def _needs_rebuild(self) -> bool:
         threshold = max(16, self._size_at_build // 2)

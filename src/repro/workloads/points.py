@@ -100,11 +100,12 @@ def zipf_x_points(
 ) -> List[Point]:
     """Zipf-skewed x-coordinates: most points land in a narrow hot band.
 
-    The x offset from ``hot_center * universe`` is ``u^alpha``-distributed
-    (``u`` uniform), so with ``alpha = 4`` about 84% of the mass lies
-    within 1/2% of the universe around the centre -- the skewed insert
-    stream that makes a *static* shard topology collapse onto one machine
-    and that ``benchmarks/bench_resharding.py`` stresses.  y is uniform.
+    The x offset from ``hot_center * universe`` is ``u^alpha * universe / 2``
+    (``u`` uniform), so with ``alpha = 4`` a share ``0.01 ** 0.25``, about
+    32%, of the points lies within 1/2% of the universe of the centre, and
+    about 70% within 1/8 of it -- the skewed insert stream that makes a
+    *static* shard topology collapse onto one machine and that
+    ``benchmarks/bench_resharding.py`` stresses.  y is uniform.
     Coordinates are jittered per index so the output is in general
     position (distinct x and y) and disjoint from the integer-coordinate
     sets the other generators produce; ``ident_base`` offsets the idents

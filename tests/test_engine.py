@@ -318,14 +318,14 @@ def test_scopes_match_structures_run_on_towers_with_in_memory_components(
         ran.clear()
         result = engine.query(QueryRequest(rect, consistency="fresh"))
         assert canon(result.points) == canon(range_skyline(live, rect))
-        # The split children's bases are empty: their scopes plan no
-        # search (``search_io`` 0) and their shards answer without a read.
-        planned = [scope for scope in plan.scopes if scope.n > 0]
-        assert all(scope.search_io == 0 for scope in plan.scopes if scope.n == 0)
+        # The split children's bases are empty: they run no structure and
+        # get no scope, yet still count as visited.
         assert sorted(ran, key=repr) == sorted(
-            (((scope.shard, scope.level), scope.structure) for scope in planned),
+            (((scope.shard, scope.level), scope.structure) for scope in plan.scopes),
             key=repr,
         ), rect
+        assert plan.shards_visited == result.report.shards_visited
+        assert plan.shards_visited + plan.shards_pruned == len(service.shards)
 
 
 def test_explain_performs_no_io():
@@ -382,19 +382,19 @@ def test_sharded_compaction_is_charged_to_the_tripping_update():
     to ``delta_threshold * level_growth`` pays the whole major-compaction
     rebuild in its own report; the deletes before it charge nothing."""
     points = make_points(120)
-    _, sharded = make_engines(
-        points,
-        shard_count=2,
-        memory_blocks=8,
-        delta_threshold=4,
-        level_growth=2,
-    )
+    arguments = dict(shard_count=2, memory_blocks=8, delta_threshold=4, level_growth=2)
+    _, sharded = make_engines(points, **arguments)
     reports = [sharded.delete(victim) for victim in points[:8]]
     assert all(r.applied for r in reports)
     # Tombstones of base-resident points are in-memory bookkeeping.
     assert [r.report.blocks for r in reports[:7]] == [0] * 7
-    # The eighth tombstone trips the valve: the rebuild landed on it.
-    assert reports[7].report.blocks == 136
+    # The eighth tombstone trips the valve: the rebuild landed on it, and
+    # it costs exactly what building the survivors afresh over the same
+    # shard cuts costs.
+    _, fresh = make_engines(points[8:], **arguments)
+    service = sharded.backend.service
+    assert fresh.backend.service.router.cuts == service.router.cuts
+    assert reports[7].report.blocks == fresh.build_io > 0
     assert sharded.backend.service.compactions == 1
     assert (
         sharded.attributed_io() + sharded.maintenance_io()

@@ -1,17 +1,26 @@
 """Tests for the dynamic structures: Theorem 4 and Theorem 6."""
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api import RangeSkylineIndex
 from repro.core.point import Point
-from repro.core.queries import FourSidedQuery, TopOpenQuery
+from repro.core.queries import INF, FourSidedQuery, RangeQuery, TopOpenQuery
 from repro.core.skyline import range_skyline, skyline
 from repro.em.config import EMConfig
 from repro.em.storage import StorageManager
-from repro.structures import DynamicTopOpenStructure, FourSidedStructure
+from repro.structures import (
+    DynamicTopOpenStructure,
+    FourSidedStructure,
+    StaticTopOpenStructure,
+)
 from repro.structures.dynamic_topopen import dynamic_query_bound, dynamic_update_bound
 from repro.structures.foursided import four_sided_query_bound
+from repro.workloads.points import uniform_points
 
 
 def make_storage(block_size=16):
@@ -106,10 +115,20 @@ def test_dynamic_topopen_update_io_stays_logarithmic():
 # ----------------------------------------------------------------------
 # 4-sided structure (Theorem 6)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.0])
-def test_foursided_static_queries(epsilon):
+@pytest.mark.parametrize(
+    "epsilon, dynamic",
+    # The dynamic layout keeps the ids it had before the packed one existed.
+    [
+        pytest.param(eps, dynamic, id=f"{eps}" if dynamic else f"{eps}-packed")
+        for eps in (0.25, 0.5, 1.0)
+        for dynamic in (True, False)
+    ],
+)
+def test_foursided_static_queries(epsilon, dynamic):
     points = random_points(350, 5000, int(epsilon * 100))
-    structure = FourSidedStructure(make_storage(), points, epsilon=epsilon)
+    structure = FourSidedStructure(
+        make_storage(), points, epsilon=epsilon, dynamic=dynamic
+    )
     rng = random.Random(20)
     for _ in range(80):
         x_lo, x_hi = sorted(rng.sample(range(-5, 5005), 2))
@@ -210,3 +229,207 @@ def test_dynamic_delete_emptying_rightmost_leaf_keeps_siblings_visible():
     want = sorted((p.x, p.y) for p in range_skyline(live, query))
     assert got == want
     assert (17.0, 6.0) in got
+
+
+# ----------------------------------------------------------------------
+# The packed static layout of the 4-sided structure
+# ----------------------------------------------------------------------
+def canon_ident(points):
+    return sorted((p.x, p.y, p.ident) for p in points)
+
+
+def _side(draw, coords, pad):
+    """A rectangle side: a point coordinate, a value beyond the data, any
+    value in between, or an infinite side."""
+    return draw(
+        st.one_of(
+            st.sampled_from(coords + [-pad, pad]) if coords else st.just(-pad),
+            st.floats(min_value=-pad, max_value=pad, allow_nan=False),
+            st.sampled_from([-INF, INF]),
+        )
+    )
+
+
+@st.composite
+def rectangles(draw, points, universe):
+    """Rectangles over ``points``, degenerate ones (lines and single
+    points) included, with sides on the points' own coordinates."""
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    pad = universe + 5
+    x_lo, x_hi = sorted((_side(draw, xs, pad), _side(draw, xs, pad)))
+    y_lo, y_hi = sorted((_side(draw, ys, pad), _side(draw, ys, pad)))
+    shape = draw(st.sampled_from(("box", "vertical", "horizontal", "point")))
+    if shape in ("vertical", "point"):
+        x_hi = x_lo
+    if shape in ("horizontal", "point"):
+        y_hi = y_lo
+    if shape == "point" and points:
+        anchor = draw(st.sampled_from(points))
+        x_lo = x_hi = anchor.x
+        y_lo = y_hi = anchor.y
+    return RangeQuery(x_lo, x_hi, y_lo, y_hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=900),
+    seed=st.integers(min_value=0, max_value=10_000),
+    epsilon=st.sampled_from([0.25, 0.5, 1.0]),
+    block_size=st.sampled_from([3, 4, 8, 16, 64]),
+    data=st.data(),
+)
+def test_packed_foursided_matches_range_skyline(n, seed, epsilon, block_size, data):
+    """The static layout answers every rectangle like ``range_skyline``,
+    idents included.  (At B = 3 an R(u) leaf holds B points, one fewer
+    than the most a dynamic leaf may hold.)"""
+    universe = 4 * n + 10
+    points = random_points(n, universe, seed)
+    structure = FourSidedStructure(
+        make_storage(block_size), points, epsilon=epsilon, dynamic=False
+    )
+    for _ in range(12):
+        rect = data.draw(rectangles(points, universe))
+        assert canon_ident(structure.query(rect)) == canon_ident(
+            range_skyline(points, rect)
+        ), rect
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=900),
+    seed=st.integers(min_value=0, max_value=10_000),
+    epsilon=st.sampled_from([0.25, 0.5, 1.0]),
+    block_size=st.sampled_from([16, 64]),
+    data=st.data(),
+)
+def test_packed_static_index_matches_range_skyline(n, seed, epsilon, block_size, data):
+    """A static index, whose 4-sided structure is packed, answers every
+    rectangle like ``range_skyline``, idents included.  (Below B = 16
+    the index's easy structures overflow their blocks in either layout.)"""
+    universe = 4 * n + 10
+    points = random_points(n, universe, seed)
+    index = RangeSkylineIndex(make_storage(block_size), points, epsilon=epsilon)
+    for _ in range(12):
+        rect = data.draw(rectangles(points, universe))
+        assert canon_ident(index.query(rect)) == canon_ident(
+            range_skyline(points, rect)
+        ), rect
+
+
+@pytest.mark.parametrize("block_size", [4, 16, 64])
+@pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.0])
+def test_packed_layout_is_no_larger_and_no_taller(block_size, epsilon):
+    points = random_points(3_000, 50_000, 31)
+    heights, blocks = {}, {}
+    for dynamic in (True, False):
+        storage = make_storage(block_size)
+        structure = FourSidedStructure(storage, points, epsilon=epsilon, dynamic=dynamic)
+        heights[dynamic], blocks[dynamic] = structure.height(), storage.blocks_in_use()
+    assert blocks[False] <= blocks[True]
+    assert heights[False] <= heights[True]
+
+
+def test_packed_layout_keeps_one_ru_level_at_a_shard_size():
+    """At 12,500 points and B = 64 full leaves drop a base-tree level, so
+    the tree keeps one level of right-open structures (below the root,
+    which has none) where the dynamic layout keeps two."""
+    points = uniform_points(12_500, seed=3)
+    storage = {dynamic: make_storage(64) for dynamic in (True, False)}
+    height = {
+        dynamic: FourSidedStructure(storage[dynamic], points, dynamic=dynamic).height()
+        for dynamic in (True, False)
+    }
+    # Levels: leaves, the R(u) levels, the root.
+    assert {dynamic: h - 2 for dynamic, h in height.items()} == {True: 2, False: 1}
+    assert storage[False].blocks_in_use() < storage[True].blocks_in_use() / 2
+
+
+@pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.0])
+def test_packed_ru_run_at_the_structures_epsilon(epsilon):
+    """Every R(u) of a packed structure is itself packed, at the 4-sided
+    structure's own epsilon; a dynamic structure's are fanout-2 trees."""
+    points = random_points(4_000, 80_000, 34)
+    for dynamic in (True, False):
+        storage = make_storage(16)
+        structure = FourSidedStructure(storage, points, epsilon=epsilon, dynamic=dynamic)
+        root = storage.read(structure.root_id)
+        below_root = [storage.read(child) for child in root.children]
+        right_opens = [node.right_open for node in below_root if not node.is_leaf]
+        assert right_opens
+        for right_open in right_opens:
+            assert right_open.dynamic is dynamic
+            assert right_open.epsilon == (0.0 if dynamic else epsilon)
+
+
+def test_static_index_builds_the_packed_foursided_structure():
+    """A static index's blocks are its two Theorem 1 structures plus a
+    packed 4-sided structure."""
+    points = random_points(2_000, 40_000, 32)
+    swapped = [Point(p.y, p.x, p.ident) for p in points]
+    index = RangeSkylineIndex(make_storage(64), points)
+    parts = 0
+    for build in (
+        lambda storage: StaticTopOpenStructure(storage, points),
+        lambda storage: StaticTopOpenStructure(storage, swapped),
+        lambda storage: FourSidedStructure(
+            storage, points, epsilon=index.four_sided_epsilon, dynamic=False
+        ),
+    ):
+        storage = make_storage(64)
+        build(storage)
+        parts += storage.blocks_in_use()
+    assert index.storage.blocks_in_use() == parts
+
+
+def test_packed_right_open_structure_reports_k_over_b():
+    """A packed R(u) stores its queues in records of B elements, so
+    reporting k points reads about k/B record blocks, not k/B^(1-eps)."""
+    n, block_size = 1_024, 64
+    diagonal = [Point(float(i), float(n - i), i) for i in range(n)]  # all maximal
+    storage = make_storage(block_size)
+    structure = DynamicTopOpenStructure(storage, diagonal, epsilon=0.5, dynamic=False)
+    storage.drop_cache()
+    before = storage.io_total()
+    assert len(structure.query_top_open(-INF, INF, -INF)) == n
+    assert storage.io_total() - before <= n // block_size + structure.height() + 1
+
+
+@pytest.mark.parametrize("structure_type", [FourSidedStructure, DynamicTopOpenStructure])
+def test_packed_structures_refuse_updates_before_any_io(structure_type):
+    points = random_points(200, 4_000, 33)
+    storage = make_storage(16)
+    structure = structure_type(storage, points, dynamic=False)
+    before = storage.io_total()
+    with pytest.raises(TypeError):
+        structure.insert(Point(4_000.5, 4_000.5, 999))
+    with pytest.raises(TypeError):
+        structure.delete(points[0])
+    assert storage.io_total() == before
+    assert len(structure) == len(points)
+
+
+def test_dynamic_index_layout_is_pinned():
+    """The dynamic layout is untouched by the packed one: blocks, I/Os
+    and answers of a fixed update-and-query script are pinned."""
+    storage = make_storage(16)
+    points = uniform_points(1_200, universe=100_000, seed=5)
+    index = RangeSkylineIndex(storage, points, dynamic=True)
+    rng = random.Random(6)
+    live = list(points)
+    for i in range(300):
+        point = Point(
+            rng.uniform(0, 100_000) + 0.25, rng.uniform(0, 100_000) + 0.25, 10_000 + i
+        )
+        index.insert(point)
+        live.append(point)
+    for victim in rng.sample(live, 120):
+        assert index.delete(victim)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        x_lo, x_hi = sorted(rng.uniform(0, 100_000) for _ in range(2))
+        y_lo, y_hi = sorted(rng.uniform(0, 100_000) for _ in range(2))
+        answer = index.query(RangeQuery(x_lo, x_hi, y_lo, y_hi))
+        digest.update(repr([(p.x, p.y, p.ident) for p in answer]).encode())
+    assert (storage.blocks_in_use(), storage.io_total()) == (3530, 27410)
+    assert digest.hexdigest()[:16] == "f6a63c393475e9a4"
