@@ -15,13 +15,17 @@ removes nothing (and likewise for x).  Slabs are easy cases of it: an
 x-slab is top-open with ``y_lo = -inf``, a y-slab right-open with
 ``x_lo = -inf``.
 
-Right-open queries are served by a top-open structure over the
-coordinate-swapped point set (dominance is symmetric under swapping the
-axes), exactly as Theorem 6 uses right-open structures internally.
+Right-open queries are served by a top-open structure with the axes
+exchanged (dominance is symmetric under swapping them), exactly as
+Theorem 6 uses right-open structures internally.  A static index builds
+it over its own points (:meth:`StaticTopOpenStructure.right_open`); a
+dynamic one over a coordinate-swapped copy, which Theorem 4's structure
+updates in place.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence
 
 from repro.core.point import Point, resolve_victim_index
@@ -106,17 +110,16 @@ class RangeSkylineIndex:
                 raise ValueError("points must be in general position: two share an x or a y")
         self.x_max = max((p.x for p in self.points), default=-INF)
         self.y_max = max((p.y for p in self.points), default=-INF)
-        swapped = [_swap(p) for p in self.points]
         if dynamic:
             self._top_open = DynamicTopOpenStructure(
                 storage, points=self.points, epsilon=epsilon
             )
             self._right_open = DynamicTopOpenStructure(
-                storage, points=swapped, epsilon=epsilon
+                storage, points=[_swap(p) for p in self.points], epsilon=epsilon
             )
         else:
             self._top_open = StaticTopOpenStructure(storage, self.points)
-            self._right_open = StaticTopOpenStructure(storage, swapped)
+            self._right_open = StaticTopOpenStructure.right_open(storage, self.points)
         self._four_sided = FourSidedStructure(
             storage,
             self.points,
@@ -135,8 +138,10 @@ class RangeSkylineIndex:
         if structure == STRUCTURE_TOP_OPEN:
             return self._top_open.query_top_open(query.x_lo, query.x_hi, query.y_lo)
         if structure == STRUCTURE_RIGHT_OPEN:
-            swapped = self._right_open.query_top_open(query.y_lo, query.y_hi, query.x_lo)
-            return sorted((_swap(p) for p in swapped), key=lambda p: p.x)
+            found = self._right_open.query_top_open(query.y_lo, query.y_hi, query.x_lo)
+            if self.dynamic:
+                found = [_swap(p) for p in found]
+            return sorted(found, key=attrgetter("x"))
         return self._four_sided.query_four_sided(
             query.x_lo, query.x_hi, query.y_lo, query.y_hi
         )

@@ -300,7 +300,7 @@ def sort_points_by_x(points: List[Point]) -> List[Point]:
     """Sort a point list by increasing x via a columnar argsort.
 
     Drop-in replacement for ``points.sort(key=lambda p: p.x)`` at result
-    assembly boundaries (static top-open candidate sets, BBS output);
+    assembly boundaries (BBS output);
     returns a new list and leaves the input untouched.
     """
     n = len(points)

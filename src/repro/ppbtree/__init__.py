@@ -8,19 +8,20 @@ query at ``x = alpha`` is then a range query on the snapshot B-tree of
 version ``alpha``.
 
 The implementation follows the multiversion B-tree of Becker et al. (the
-reference the paper cites): entries carry version intervals, nodes are
-rebuilt by version copies with strong-condition key splits / merges, and a
-small in-memory root index maps versions to roots.
+reference the paper cites): entries are ``(key, start, end, value)``
+tuples carrying version intervals, nodes are rebuilt by version copies
+with strong-condition key splits / merges, and a small in-memory root
+index maps versions to roots.
 """
 
-from repro.ppbtree.nodes import MVEntry, MVNode
+from repro.ppbtree.nodes import MVNode
 from repro.ppbtree.ppbtree import MultiversionBTree
-from repro.ppbtree.build import build_segment_ppbtree, sweep_events
+from repro.ppbtree.build import build_segment_ppbtree, build_sigma_ppbtree, sweep_events
 
 __all__ = [
-    "MVEntry",
     "MVNode",
     "MultiversionBTree",
     "build_segment_ppbtree",
+    "build_sigma_ppbtree",
     "sweep_events",
 ]

@@ -11,20 +11,26 @@ construction cost is dominated by the ``O(n/B)`` block creations --
 the linear behaviour Theorem 1 claims.  ``build_segment_ppbtree`` can also
 be run with a cold cache per update to exhibit the ``O(n log_B n)`` cost of
 the classic construction, which the SABE benchmark compares against.
+
+Both builds consume ``Sigma(P)`` records ``(x_left, x_right, y, value)``
+(see :func:`repro.segments.reduction.sigma_records`) and store ``value``
+under key ``y``: the static top-open structure stores a point's position,
+:func:`build_segment_ppbtree` the segment itself.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, List, Tuple
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, List, Tuple
 
 from repro.em.storage import StorageManager
 from repro.ppbtree.ppbtree import MultiversionBTree
+from repro.segments.reduction import SigmaRecord
 from repro.segments.segment import HorizontalSegment
 
-Event = Tuple[float, int, HorizontalSegment]
+Event = Tuple[float, int, Any]
 
 
 def sweep_events(segments: Iterable[HorizontalSegment]) -> List[Event]:
@@ -36,28 +42,53 @@ def sweep_events(segments: Iterable[HorizontalSegment]) -> List[Event]:
     the snapshot before its own segment enters.  Events are ordered by
     ``(x, kind, y)``, ties kept in input order.
     """
-    return list(_iter_events(segments))
+    return [
+        (x, kind, record[3])
+        for x, kind, record in _iter_events(_segment_records(segments))
+    ]
 
 
-def _iter_events(segments: Iterable[HorizontalSegment]) -> Iterator[Event]:
-    """:func:`sweep_events` as a stream: insertions sorted by left endpoint
-    and deletions by right endpoint, merged with deletions first at equal x.
+def _iter_events(records: Iterable[SigmaRecord]) -> Iterator[Event]:
+    """:func:`sweep_events` of records as a stream: insertions sorted by
+    left endpoint and deletions by right endpoint, merged with deletions
+    first at equal x.
 
     Both sorts are stable, so the order is exactly the one a single sort of
     all events by ``(x, kind, y)`` gives, without holding an event tuple
     per endpoint for the whole sweep.
     """
-    segments = list(segments)
-    inserts = sorted(segments, key=attrgetter("x_left", "y"))
+    records = list(records)
+    inserts = sorted(records, key=itemgetter(0, 2))
     deletes = sorted(
-        (s for s in segments if not math.isinf(s.x_right)),
-        key=attrgetter("x_right", "y"),
+        (r for r in records if not math.isinf(r[1])), key=itemgetter(1, 2)
     )
     return heapq.merge(
-        ((s.x_right, 0, s) for s in deletes),
-        ((s.x_left, 1, s) for s in inserts),
+        ((r[1], 0, r) for r in deletes),
+        ((r[0], 1, r) for r in inserts),
         key=itemgetter(0, 1),
     )
+
+
+def build_sigma_ppbtree(
+    storage: StorageManager,
+    records: Iterable[SigmaRecord],
+    cold_cache: bool = False,
+) -> MultiversionBTree:
+    """Build the PPB-tree of ``Sigma(P)`` records, keyed on y.
+
+    With ``cold_cache`` the buffer pool is dropped before every update,
+    which reproduces the I/O behaviour of the classic (non-SABE)
+    construction the paper compares against.
+    """
+    tree = MultiversionBTree(storage)
+    for x, kind, (_, _, y, value) in _iter_events(records):
+        if cold_cache:
+            storage.drop_cache()
+        if kind == 1:
+            tree.insert(y, value, version=x)
+        else:
+            tree.delete(y, version=x)
+    return tree
 
 
 def build_segment_ppbtree(
@@ -65,18 +96,10 @@ def build_segment_ppbtree(
     segments: Iterable[HorizontalSegment],
     cold_cache: bool = False,
 ) -> MultiversionBTree:
-    """Build the PPB-tree of ``Sigma(P)`` keyed on segment y-coordinate.
+    """:func:`build_sigma_ppbtree` over segments, each stored as its own
+    record's value."""
+    return build_sigma_ppbtree(storage, _segment_records(segments), cold_cache)
 
-    With ``cold_cache`` the buffer pool is dropped before every update,
-    which reproduces the I/O behaviour of the classic (non-SABE)
-    construction the paper compares against.
-    """
-    tree = MultiversionBTree(storage)
-    for x, kind, segment in _iter_events(segments):
-        if cold_cache:
-            storage.drop_cache()
-        if kind == 1:
-            tree.insert(segment.y, segment, version=x)
-        else:
-            tree.delete(segment.y, version=x)
-    return tree
+
+def _segment_records(segments: Iterable[HorizontalSegment]) -> List[SigmaRecord]:
+    return [(s.x_left, s.x_right, s.y, s) for s in segments]

@@ -1,37 +1,27 @@
-"""Node and entry payloads of the multiversion B-tree."""
+"""Node payload and entry layout of the multiversion B-tree.
+
+An entry is a plain tuple ``(key, start, end, value)``.  For leaf nodes
+``value`` is the stored payload; for internal nodes it is the block id of
+a child.  The entry is *live* during the half-open version interval
+``[start, end)``; ``end = inf`` means it has not been (logically) deleted
+yet, and ending an entry replaces its tuple in the node's list.
+
+Entries are tuples rather than class instances because CPython stops
+tracking a tuple of atomic values (numbers, strings) at its first
+collection: a tree whose keys and values are numbers adds one tracked
+node per block, not one tracked object per entry.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, List
+from typing import Any, List, Tuple
 
 INF = math.inf
 
-
-@dataclass(slots=True)
-class MVEntry:
-    """A versioned entry.
-
-    For leaf nodes ``value`` is the stored payload (a segment); for internal
-    nodes it is the block id of a child.  The entry is *live* during the
-    half-open version interval ``[start, end)``; ``end = inf`` means it has
-    not been (logically) deleted yet.
-    """
-
-    key: Any
-    start: float
-    end: float = INF
-    value: Any = None
-
-    def alive_at(self, version: float) -> bool:
-        """Whether the entry belongs to the snapshot of ``version``."""
-        return self.start <= version < self.end
-
-    @property
-    def alive_now(self) -> bool:
-        """Whether the entry is live in the current (latest) version."""
-        return self.end == INF
+#: ``(key, start, end, value)``.
+Entry = Tuple[Any, float, float, Any]
 
 
 @dataclass(slots=True)
@@ -46,21 +36,33 @@ class MVNode:
     """
 
     is_leaf: bool
-    entries: List[MVEntry] = field(default_factory=list)
+    entries: List[Entry] = field(default_factory=list)
     live: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self.live = sum(1 for entry in self.entries if entry.alive_now)
+        self.live = sum(1 for entry in self.entries if entry[2] == INF)
 
     def record_size(self) -> int:
         """Size in records (one per entry)."""
         return max(1, len(self.entries))
 
-    def live_entries(self, version: float = INF) -> List[MVEntry]:
+    def live_entries(self, version: float = INF) -> List[Entry]:
         """Entries alive at ``version`` (current version by default)."""
         if version == INF:
-            return [entry for entry in self.entries if entry.alive_now]
-        return [entry for entry in self.entries if entry.alive_at(version)]
+            return [entry for entry in self.entries if entry[2] == INF]
+        return [entry for entry in self.entries if entry[1] <= version < entry[2]]
+
+    def end_live(self, version: float) -> List[Entry]:
+        """End every currently live entry at ``version``; returns them as
+        they were before, in list order."""
+        entries = self.entries
+        ended: List[Entry] = []
+        for index, entry in enumerate(entries):
+            if entry[2] == INF:
+                ended.append(entry)
+                entries[index] = (entry[0], entry[1], version, entry[3])
+        self.live = 0
+        return ended
 
     def live_count(self) -> int:
         """Number of currently live entries."""

@@ -12,32 +12,40 @@ guarantees a minimum number of entries alive at each version it spans
 from __future__ import annotations
 
 import bisect
-from itertools import islice
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.em.storage import StorageManager
-from repro.ppbtree.nodes import INF, MVEntry, MVNode
+from repro.ppbtree.nodes import INF, Entry, MVNode
 
 # Every node keeps its entries in this order, so searches bisect instead of
 # sorting and a live filter of ``entries`` is already in key order.
-_entry_order = attrgetter("key", "start")
-_entry_key = attrgetter("key")
+_entry_order = itemgetter(0, 1)
+_entry_key = itemgetter(0)
 _root_start = itemgetter(0)
 
 
 class MultiversionBTree:
     """A partially persistent B-tree over totally ordered keys."""
 
-    def __init__(self, storage: StorageManager, capacity: Optional[int] = None) -> None:
+    def __init__(self, storage: StorageManager) -> None:
         self.storage = storage
-        # Leave slack below the block size so that the transient growth of a
-        # node during a restructuring step never exceeds one block.
-        base = capacity or storage.block_size
-        self.capacity = max(8, base - 4)
+        # A restructuring step adds up to two routers to a parent before it
+        # checks the parent's capacity, so a node at capacity must still fit
+        # its block with two more entries.  From B = 12 up a node keeps four
+        # entries of slack.
+        block_size = storage.block_size
+        self.capacity = min(max(8, block_size - 4), block_size - 2)
         self.live_min = max(2, self.capacity // 5)
         self.strong_low = max(self.live_min + 1, (2 * self.capacity) // 5)
         self.strong_high = max(self.strong_low + 2, (4 * self.capacity) // 5)
+        if self.strong_high >= self.capacity:
+            # A version copy that does not split must leave room for the
+            # insert that caused it, or the insert would copy forever.
+            raise ValueError(
+                f"block size {block_size} is too small for a multiversion "
+                "B-tree node (the strong version condition needs B >= 8)"
+            )
         # roots[i] = (first version covered, block id); kept sorted by version.
         self.roots: List[Tuple[float, int]] = []
         self.current_version = -INF
@@ -51,8 +59,9 @@ class MultiversionBTree:
         """Insert ``key -> value`` effective from ``version`` on."""
         self._advance_version(version)
         self.update_count += 1
+        entry = (key, version, INF, value)
         if not self.roots:
-            root = MVNode(is_leaf=True, entries=[MVEntry(key, version, INF, value)])
+            root = MVNode(is_leaf=True, entries=[entry])
             root_id = self.storage.create(root)
             self.roots.append((version, root_id))
             return
@@ -62,9 +71,7 @@ class MultiversionBTree:
             if len(leaf.entries) + 1 > self.capacity:
                 self._restructure(path, version)
                 continue
-            bisect.insort(
-                leaf.entries, MVEntry(key, version, INF, value), key=_entry_order
-            )
+            bisect.insort(leaf.entries, entry, key=_entry_order)
             leaf.live += 1
             self.storage.write(leaf_id, leaf)
             return
@@ -77,17 +84,16 @@ class MultiversionBTree:
         self.update_count += 1
         path = self._descend_current(key)
         leaf_id, leaf = path[-1]
-        target = None
-        index = bisect.bisect_left(leaf.entries, key, key=_entry_key)
-        for entry in islice(leaf.entries, index, None):
-            if entry.key != key:
+        entries = leaf.entries
+        index = bisect.bisect_left(entries, key, key=_entry_key)
+        while index < len(entries) and entries[index][0] == key:
+            if entries[index][2] == INF:
                 break
-            if entry.alive_now:
-                target = entry
-                break
-        if target is None:
+            index += 1
+        else:
             return False
-        target.end = version
+        entry_key, start, _, value = entries[index]
+        entries[index] = (entry_key, start, version, value)
         leaf.live -= 1
         self.storage.write(leaf_id, leaf)
         if leaf.live < self.live_min and len(path) > 1:
@@ -151,20 +157,20 @@ class MultiversionBTree:
         node: MVNode = self.storage.read(node_id)
         live = node.live_entries(version)
         if node.is_leaf:
-            for entry in live:
-                if entry.key < key_lo:
+            for key, _, _, value in live:
+                if key < key_lo:
                     continue
-                if not visitor(entry.key, entry.value):
+                if not visitor(key, value):
                     return False
             return True
         for index, entry in enumerate(live):
-            upper = live[index + 1].key if index + 1 < len(live) else INF
-            # The child rooted at ``entry`` covers keys in [entry.key, upper)
+            upper = live[index + 1][0] if index + 1 < len(live) else INF
+            # The child rooted at ``entry`` covers keys in [its key, upper)
             # within this snapshot; the first child also covers keys below
             # its router.
             if upper <= key_lo and index + 1 < len(live):
                 continue
-            if not self._scan_node(entry.value, version, key_lo, visitor):
+            if not self._scan_node(entry[3], version, key_lo, visitor):
                 return False
         return True
 
@@ -198,7 +204,7 @@ class MultiversionBTree:
             # repro: uncharged-io(space accounting walks every reachable block to count them; the paper's space bound is measured out-of-band, not charged as transfers)
             node: MVNode = self.storage.disk.peek(node_id)
             if not node.is_leaf:
-                stack.extend(entry.value for entry in node.entries)
+                stack.extend(entry[3] for entry in node.entries)
         return len(seen)
 
     # ------------------------------------------------------------------
@@ -218,12 +224,12 @@ class MultiversionBTree:
             # router (which also covers keys below it).
             entries = node.entries
             index = bisect.bisect_right(entries, key, key=_entry_key)
-            while index and not entries[index - 1].alive_now:
+            while index and entries[index - 1][2] != INF:
                 index -= 1
             if index:
-                node_id = entries[index - 1].value
+                node_id = entries[index - 1][3]
             else:
-                node_id = next(e for e in entries if e.alive_now).value
+                node_id = next(e for e in entries if e[2] == INF)[3]
 
     def _restructure(self, path: List[Tuple[int, MVNode]], version: float) -> None:
         """Version-copy the last node of ``path`` (merging / splitting as needed)."""
@@ -231,12 +237,9 @@ class MultiversionBTree:
         parent = path[-2] if len(path) > 1 else None
         self.version_copies += 1
 
-        live = [e for e in node.entries if e.alive_now]
-        for entry in live:
-            entry.end = version
-        node.live = 0
+        live = node.end_live(version)
         self.storage.write(node_id, node)
-        copied = [MVEntry(e.key, version, INF, e.value) for e in live]
+        copied = [(key, version, INF, value) for key, _, _, value in live]
         dead_ids = [node_id]
 
         # Merge with a live sibling when too few entries survive.
@@ -245,11 +248,11 @@ class MultiversionBTree:
             if sibling is not None:
                 sibling_id, sibling_live = sibling
                 copied.extend(
-                    MVEntry(e.key, version, INF, e.value) for e in sibling_live
+                    (key, version, INF, value) for key, _, _, value in sibling_live
                 )
                 dead_ids.append(sibling_id)
 
-        copied.sort(key=lambda e: e.key)
+        copied.sort(key=_entry_key)
         new_nodes: List[Tuple[int, MVNode]] = []
         if len(copied) > self.strong_high:
             mid = len(copied) // 2
@@ -267,16 +270,15 @@ class MultiversionBTree:
         parent_id, parent_node = parent
         # End the parent entries of every dead child and add routers for the
         # new nodes.
-        for entry in parent_node.entries:
-            if entry.alive_now and entry.value in dead_ids:
-                entry.end = version
+        parent_entries = parent_node.entries
+        for index, (key, start, end, child_id) in enumerate(parent_entries):
+            if end == INF and child_id in dead_ids:
+                parent_entries[index] = (key, start, version, child_id)
                 parent_node.live -= 1
         for new_id, new_node in new_nodes:
-            router = new_node.entries[0].key if new_node.entries else -INF
+            router = new_node.entries[0][0] if new_node.entries else -INF
             bisect.insort(
-                parent_node.entries,
-                MVEntry(router, version, INF, new_id),
-                key=_entry_order,
+                parent_entries, (router, version, INF, new_id), key=_entry_order
             )
             parent_node.live += 1
         self.storage.write(parent_id, parent_node)
@@ -288,28 +290,25 @@ class MultiversionBTree:
 
     def _take_sibling(
         self, parent: Tuple[int, MVNode], node_id: int, version: float
-    ) -> Optional[Tuple[int, List[MVEntry]]]:
+    ) -> Optional[Tuple[int, List[Entry]]]:
         """Pick a live sibling of ``node_id``, end its live entries, return them."""
         parent_id, parent_node = parent
         live_children = parent_node.live_entries()
         position = next(
-            (i for i, e in enumerate(live_children) if e.value == node_id), None
+            (i for i, e in enumerate(live_children) if e[3] == node_id), None
         )
         if position is None:
             return None
-        sibling_entry: Optional[MVEntry] = None
+        sibling_entry: Optional[Entry] = None
         if position + 1 < len(live_children):
             sibling_entry = live_children[position + 1]
         elif position > 0:
             sibling_entry = live_children[position - 1]
         if sibling_entry is None:
             return None
-        sibling_id = sibling_entry.value
+        sibling_id = sibling_entry[3]
         sibling: MVNode = self.storage.read(sibling_id)
-        sibling_live = sibling.live_entries()
-        for entry in sibling_live:
-            entry.end = version
-        sibling.live = 0
+        sibling_live = sibling.end_live(version)
         self.storage.write(sibling_id, sibling)
         return sibling_id, sibling_live
 
@@ -321,8 +320,8 @@ class MultiversionBTree:
             return
         entries = []
         for new_id, new_node in new_nodes:
-            router = new_node.entries[0].key if new_node.entries else -INF
-            entries.append(MVEntry(router, version, INF, new_id))
+            router = new_node.entries[0][0] if new_node.entries else -INF
+            entries.append((router, version, INF, new_id))
         is_leaf = False
         root = MVNode(is_leaf=is_leaf, entries=entries)
         root_id = self.storage.create(root)

@@ -9,14 +9,18 @@ linear-I/O SABE construction of the PPB-tree possible.
 
 from repro.segments.segment import HorizontalSegment
 from repro.segments.reduction import (
+    SigmaRecord,
     compute_sigma,
     compute_sigma_emfile,
     leftdom_map,
+    sigma_records,
 )
 from repro.segments.properties import is_monotonic, is_nesting
 
 __all__ = [
     "HorizontalSegment",
+    "SigmaRecord",
+    "sigma_records",
     "compute_sigma",
     "compute_sigma_emfile",
     "leftdom_map",

@@ -8,17 +8,57 @@ the segment ``sigma(q) = [x_q, x_p[ x y_q`` is emitted.  Segments are output
 in non-decreasing order of their right endpoints, the order the SABE
 PPB-tree construction consumes them in, and the whole pass costs ``O(n/B)``
 I/Os when the input is an x-sorted :class:`~repro.em.EMFile`.
+
+:func:`sigma_records` is the one sweep.  It runs over ``(x, y, value)``
+triples and emits plain ``(x_left, x_right, y, value)`` records, so a
+caller that names points by position (the static top-open structure)
+builds nothing the cycle collector keeps tracking.  :func:`compute_sigma`
+and :func:`compute_sigma_emfile` are views of the same sweep as
+:class:`~repro.segments.segment.HorizontalSegment` objects.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.point import Point
 from repro.em.file import EMFile
 from repro.em.storage import StorageManager
 from repro.segments.segment import HorizontalSegment
+
+#: ``(x_left, x_right, y, value)``: the segment ``[x_left, x_right[ x y``
+#: of the point ``value`` stands for.
+SigmaRecord = Tuple[float, float, float, Any]
+
+
+def sigma_records(items: Iterable[Tuple[float, float, Any]]) -> Iterator[SigmaRecord]:
+    """``Sigma(P)`` of ``(x, y, value)`` triples sorted by increasing x.
+
+    Yields one record per triple, bounded records in non-decreasing order
+    of ``x_right`` (ties broken by lower y first), then the unbounded
+    records of the points left on the stack.  Raises ``ValueError`` when
+    x decreases, or when a segment would have non-positive length: two
+    points share an x and the later one is higher.
+    """
+    stack: List[Tuple[float, float, Any]] = []
+    previous_x = -math.inf
+    for item in items:
+        x, y, _ = item
+        if x < previous_x:
+            raise ValueError("points must be sorted by increasing x-coordinate")
+        previous_x = x
+        while stack and stack[-1][1] < y:
+            x_left, y_left, value = stack.pop()
+            if x <= x_left:
+                raise ValueError(f"segment must have positive length: [{x_left}, {x}[")
+            yield (x_left, x, y_left, value)
+        stack.append(item)
+    # Remaining stack entries are maximal points: unbounded segments.
+    for x_left, y_left, value in stack:
+        if x_left == math.inf:
+            raise ValueError(f"segment must have positive length: [{x_left}, inf[")
+        yield (x_left, math.inf, y_left, value)
 
 
 def compute_sigma(points_sorted_by_x: Sequence[Point]) -> List[HorizontalSegment]:
@@ -28,22 +68,12 @@ def compute_sigma(points_sorted_by_x: Sequence[Point]) -> List[HorizontalSegment
     (ties broken by lower y first), mirroring the emission order of the
     sweep.
     """
-    _check_sorted(points_sorted_by_x)
-    segments: List[HorizontalSegment] = []
-    stack: List[Point] = []
-    for point in points_sorted_by_x:
-        while stack and stack[-1].y < point.y:
-            popped = stack.pop()
-            segments.append(
-                HorizontalSegment(popped.x, point.x, popped.y, source=popped)
-            )
-        stack.append(point)
-    # Remaining stack entries are maximal points: unbounded segments.
-    for point in stack:
-        segments.append(
-            HorizontalSegment(point.x, math.inf, point.y, source=point)
+    return [
+        HorizontalSegment(x_left, x_right, y, source=point)
+        for x_left, x_right, y, point in sigma_records(
+            (p.x, p.y, p) for p in points_sorted_by_x
         )
-    return segments
+    ]
 
 
 def compute_sigma_emfile(
@@ -59,27 +89,14 @@ def compute_sigma_emfile(
 
     Returns the output file and the number of segments written.
     """
-    before = storage.snapshot()
     output = EMFile(storage, name=f"{points_file.name}.sigma")
-    stack: List[Point] = []
     count = 0
-    previous_x = -math.inf
-    for point in points_file.scan():
-        if point.x < previous_x:
-            raise ValueError("input file must be sorted by x-coordinate")
-        previous_x = point.x
-        while stack and stack[-1].y < point.y:
-            popped = stack.pop()
-            output.append(
-                HorizontalSegment(popped.x, point.x, popped.y, source=popped)
-            )
-            count += 1
-        stack.append(point)
-    for point in stack:
-        output.append(HorizontalSegment(point.x, math.inf, point.y, source=point))
+    for x_left, x_right, y, point in sigma_records(
+        (p.x, p.y, p) for p in points_file.scan()
+    ):
+        output.append(HorizontalSegment(x_left, x_right, y, source=point))
         count += 1
     output.close()
-    del before  # kept for symmetry; callers meter around this function
     return output, count
 
 
@@ -100,9 +117,3 @@ def leftdom_map(points: Iterable[Point]) -> Dict[Point, Optional[Point]]:
         else:
             mapping[source] = by_x[segment.x_right]
     return mapping
-
-
-def _check_sorted(points: Sequence[Point]) -> None:
-    for prev, curr in zip(points, points[1:]):
-        if curr.x < prev.x:
-            raise ValueError("points must be sorted by increasing x-coordinate")

@@ -12,29 +12,35 @@ Both components are built in ``O(n/B)`` I/Os from x-sorted input
 (``build_sorted``), which is the "sort-aware build-efficient" property the
 paper proves; ``construction_io`` exposes the measured figure so the SABE
 benchmark can compare against the classic super-linear construction.
+
+Neither component holds a point object.  The range-max B-tree maps x to
+y, and the PPB-tree stores each point's position in :attr:`points`, the
+structure's sorted point list, so a built structure keeps tracked Python
+objects per block rather than per point (DESIGN §3).  The same holds for
+the axis-exchanged structure :meth:`StaticTopOpenStructure.right_open`
+builds: it indexes the points themselves with x and y exchanged, so no
+swapped copy of a point exists.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, List, Sequence
 
 from repro.btree.rangemax import RangeMaxBTree
-from repro.core.columns import sort_points_by_x
 from repro.core.point import Point
-from repro.core.queries import RangeQuery, TopOpenQuery
+from repro.core.queries import RangeQuery
 from repro.em.storage import StorageManager
-from repro.ppbtree.build import build_segment_ppbtree
+from repro.ppbtree.build import build_sigma_ppbtree
 from repro.ppbtree.ppbtree import MultiversionBTree
-from repro.segments.reduction import compute_sigma
-from repro.segments.segment import HorizontalSegment
+from repro.segments.reduction import sigma_records
 
 
 class StaticTopOpenStructure:
     """Linear-space static structure for top-open range skyline queries."""
 
     def __init__(self, storage: StorageManager, points: Iterable[Point]) -> None:
-        ordered = sorted(points, key=lambda p: p.x)
-        self._init_from_sorted(storage, ordered)
+        self._build(storage, sorted(points, key=attrgetter("x")))
 
     @classmethod
     def build_sorted(
@@ -42,19 +48,40 @@ class StaticTopOpenStructure:
     ) -> "StaticTopOpenStructure":
         """SABE construction from x-sorted points (skips the sort)."""
         instance = cls.__new__(cls)
-        instance._init_from_sorted(storage, list(points_sorted_by_x))
+        instance._build(storage, list(points_sorted_by_x))
         return instance
 
-    def _init_from_sorted(
-        self, storage: StorageManager, ordered: List[Point]
+    @classmethod
+    def right_open(
+        cls, storage: StorageManager, points: Iterable[Point]
+    ) -> "StaticTopOpenStructure":
+        """The structure over ``points`` with x and y exchanged.
+
+        Its :meth:`query_top_open` ``(y_lo, y_hi, x_lo)`` answers the
+        right-open rectangle ``[x_lo, inf[ x [y_lo, y_hi]`` with the stored
+        points, sorted by y: dominance, and so the skyline, is symmetric
+        under exchanging the axes.
+        """
+        instance = cls.__new__(cls)
+        instance._build(storage, sorted(points, key=attrgetter("y")), exchanged=True)
+        return instance
+
+    def _build(
+        self, storage: StorageManager, ordered: List[Point], exchanged: bool = False
     ) -> None:
+        """Build over ``ordered``, sorted by x (by y when ``exchanged``)."""
+        xs = [p.x for p in ordered]
+        ys = [p.y for p in ordered]
+        if exchanged:
+            xs, ys = ys, xs
         self.storage = storage
         self.points = ordered
+        # Each point's x in this structure's frame, by position.
+        self._xs = xs
         before = storage.snapshot()
-        self.range_max = RangeMaxBTree.build_sorted(storage, ordered)
-        self.segments: List[HorizontalSegment] = compute_sigma(ordered)
-        self.ppb_tree: MultiversionBTree = build_segment_ppbtree(
-            storage, self.segments
+        self.range_max = RangeMaxBTree.build_sorted(storage, xs, ys)
+        self.ppb_tree: MultiversionBTree = build_sigma_ppbtree(
+            storage, sigma_records(zip(xs, ys, range(len(xs))))
         )
         self.construction_io = (storage.snapshot() - before).total
 
@@ -75,15 +102,13 @@ class StaticTopOpenStructure:
         if beta_prime is None or beta_prime < y_lo:
             return []
         # Report the segments of Sigma(P) stabbed by the vertical segment
-        # x_hi x [y_lo, beta'].  Such segments are alive at version x_hi.
-        segments: List[HorizontalSegment] = self.ppb_tree.range_query(
-            x_hi, y_lo, beta_prime
-        )
-        result = [seg.source for seg in segments if seg.source is not None]
-        # Candidate-set assembly is columnar: argsort one x array instead
-        # of a lambda-keyed object sort (pure in-memory work -- the
-        # transfers were already charged by the PPB-tree traversal).
-        return sort_points_by_x(result)
+        # x_hi x [y_lo, beta'].  Such segments are alive at version x_hi;
+        # each stores its point's position, and a stable sort on the
+        # positions' x keeps the tree's order among equal x.
+        positions: List[int] = self.ppb_tree.range_query(x_hi, y_lo, beta_prime)
+        positions.sort(key=self._xs.__getitem__)
+        points = self.points
+        return [points[i] for i in positions]
 
     def query_contour(self, x_hi: float) -> List[Point]:
         """Contour query (Figure 2g): the skyline of points left of ``x_hi``."""

@@ -1,5 +1,6 @@
 """Tests for the top-level RangeSkylineIndex facade."""
 
+import gc
 import random
 
 import pytest
@@ -67,6 +68,78 @@ def test_static_index_answers_every_variant():
         assert sorted((p.x, p.y) for p in index.query(query)) == expected
     assert len(index) == 180
     assert index.io_total() > 0
+
+
+def test_static_index_builds_and_answers_at_block_size_8():
+    """Regression: at B = 8 the PPB-tree once wrote a node of B + 1
+    records while sweeping Sigma(P), so no static index over a few
+    hundred points could be built.  Its nodes now leave room for the two
+    routers a restructuring step adds before the capacity check."""
+    points = random_points(600, 6_000, 41)
+    storage = StorageManager(EMConfig(block_size=8, memory_blocks=16))
+    index = RangeSkylineIndex(storage, points)
+    rng = random.Random(42)
+    for _ in range(60):
+        a, b = sorted(rng.uniform(0, 6_000) for _ in range(2))
+        c, d = sorted(rng.uniform(0, 6_000) for _ in range(2))
+        for query in (TopOpenQuery(a, b, c), RightOpenQuery(a, c, d), FourSidedQuery(a, b, c, d)):
+            expected = sorted(range_skyline(points, query), key=lambda p: p.x)
+            assert [(p.x, p.y, p.ident) for p in index.query(query)] == [
+                (p.x, p.y, p.ident) for p in expected
+            ], query
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [Point(1, 5, 0), Point(1, 7, 1), Point(3, 2, 2)],  # one x, the later higher
+        [Point(1, 5, 0), Point(2, 5, 1), Point(3, 2, 2)],  # one y, the later right
+    ],
+)
+def test_static_index_rejects_points_sharing_a_coordinate(points):
+    """Sigma(P) would hold a segment of zero length: the static build
+    refuses the input instead of indexing a dominated point."""
+    with pytest.raises(ValueError, match="positive length"):
+        RangeSkylineIndex(make_storage(), points)
+
+
+def test_static_right_open_answers_are_the_indexed_points():
+    """A static index's right-open structure indexes the points
+    themselves with the axes exchanged: it returns the input objects, not
+    swapped-back copies."""
+    points = random_points(400, 5_000, 43)
+    by_id = {id(p) for p in points}
+    index = RangeSkylineIndex(make_storage(), points)
+    rng = random.Random(44)
+    reported = 0
+    for _ in range(40):
+        c, d = sorted(rng.uniform(0, 5_000) for _ in range(2))
+        query = RightOpenQuery(rng.uniform(0, 5_000), c, d)
+        answer = index.query(query)
+        assert [p.x for p in answer] == sorted(p.x for p in answer)
+        assert all(id(p) in by_id for p in answer)
+        reported += len(answer)
+    assert reported > 40
+
+
+def test_static_index_adds_few_tracked_objects():
+    """The static Theorem 1 structures keep their per-point records as
+    tuples of numbers, which the cycle collector stops tracking: a
+    static index adds at most 1.5 tracked objects per point (a layout of
+    segment and entry objects and swapped point copies added 6.7)."""
+    points = uniform_points(5_000, universe=1_000_000, seed=3)
+    storage = StorageManager(EMConfig(block_size=64, memory_blocks=64))
+    gc.collect()
+    before = len(gc.get_objects())
+    gc.disable()
+    try:
+        index = RangeSkylineIndex(storage, points)
+    finally:
+        gc.enable()
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert len(index) == 5_000
+    assert added <= 1.5 * len(points), added / len(points)
 
 
 def test_dynamic_index_supports_updates():

@@ -130,13 +130,28 @@ def test_range_max_btree_matches_brute_force():
     rng = random.Random(2)
     points = [Point(x, rng.randrange(10_000), i) for i, x in enumerate(rng.sample(range(10_000), 300))]
     storage = make_storage(block_size=16)
-    tree = RangeMaxBTree.build_sorted(storage, sorted(points, key=lambda p: p.x))
+    ordered = sorted(points, key=lambda p: p.x)
+    tree = RangeMaxBTree.build_sorted(storage, [p.x for p in ordered], [p.y for p in ordered])
     for _ in range(100):
         lo, hi = sorted(rng.sample(range(10_000), 2))
         inside = [p.y for p in points if lo <= p.x <= hi]
         expected = max(inside) if inside else None
         assert tree.max_y_in(lo, hi) == expected
     assert len(tree) == 300
+
+
+def test_range_max_build_sorted_allocates_only_the_bulk_loaded_tree():
+    """Regression: ``build_sorted`` once left the empty root leaf of the
+    tree it replaced allocated, one orphan block per structure."""
+    rng = random.Random(4)
+    xs = sorted(rng.sample(range(100_000), 1_000))
+    ys = [rng.random() for _ in xs]
+    alone, built = make_storage(block_size=64), make_storage(block_size=64)
+    bulk_load_sorted(alone, list(zip(xs, ys)), aggregate=max)
+    tree = RangeMaxBTree.build_sorted(built, xs, ys)
+    assert built.blocks_in_use() == alone.blocks_in_use() == 17
+    assert built.io_total() == alone.io_total()
+    assert tree.max_y_in(xs[0], xs[-1]) == max(ys)
 
 
 def test_range_max_btree_updates():
@@ -146,6 +161,7 @@ def test_range_max_btree_updates():
     for point in points:
         tree.insert(point)
     assert tree.max_y_in(10, 20) == 90
-    assert tree.highest_point_in(10, 20) == Point(10, 90, 10)
+    assert tree.max_y_in(10.5, 20) == 89
     assert tree.delete(Point(10, 90, 10))
     assert tree.max_y_in(10, 20) == 89
+    assert tree.max_y_in(10, 10) is None

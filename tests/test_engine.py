@@ -549,15 +549,23 @@ def test_shared_batch_answers_each_request_like_a_lone_run(batch):
 
 
 def test_engine_compact_charges_maintenance_not_requests():
-    points = make_points(150)
+    """An explicit compaction is maintenance, not a request, and it is
+    charged what building the live points afresh over the same shard
+    cuts costs (enough points that the rebuilt shards outgrow their
+    buffer pools, so that cost is not zero)."""
+    points = make_points(1_500)
     local, sharded = make_engines(points, delta_threshold=1_000)
-    for i in range(6):
-        sharded.insert(Point(50_000.5 + i, 50_000.5 + i, 8_000 + i))
+    inserted = [Point(50_000.5 + i, 50_000.5 + i, 8_000 + i) for i in range(6)]
+    for point in inserted:
+        sharded.insert(point)
     attributed_before = sharded.attributed_io()
+    maintenance_before = sharded.maintenance_io()
     sharded.compact()
     assert sharded.backend.service.compactions == 1
     assert sharded.attributed_io() == attributed_before  # not a request
-    assert sharded.maintenance_io() > 0  # the rebuild was still charged
+    _, fresh = make_engines(points + inserted, delta_threshold=1_000)
+    assert fresh.backend.service.router.cuts == sharded.backend.service.router.cuts
+    assert sharded.maintenance_io() - maintenance_before == fresh.build_io > 0
     local.compact()  # no-op on the monolithic backend
     for engine in (local, sharded):
         assert (

@@ -12,7 +12,7 @@ from repro.em.config import EMConfig
 from repro.em.counters import IOSnapshot
 from repro.em.storage import StorageManager
 from repro.ppbtree import MultiversionBTree, build_segment_ppbtree, sweep_events
-from repro.ppbtree.nodes import MVEntry, MVNode
+from repro.ppbtree.nodes import INF, MVNode
 from repro.segments import compute_sigma
 from repro.workloads import anticorrelated_points
 
@@ -31,13 +31,18 @@ def random_points(n, seed):
 
 
 def test_entry_and_node_liveness():
-    entry = MVEntry(key=5, start=1, end=3, value="v")
-    assert entry.alive_at(1) and entry.alive_at(2.9) and not entry.alive_at(3)
-    assert not entry.alive_now
-    node = MVNode(is_leaf=True, entries=[entry, MVEntry(1, 0, value="w")])
+    """Entries are (key, start, end, value) tuples, live on [start, end)."""
+    ended, live = (1, 1, 3, "v"), (5, 0, INF, "w")
+    node = MVNode(is_leaf=True, entries=[ended, live])
     assert node.live_count() == 1
-    assert len(node.live_entries(2)) == 2
+    assert node.live_entries() == [live]
+    assert node.live_entries(1) == node.live_entries(2.9) == [ended, live]
+    assert node.live_entries(3) == node.live_entries(0) == [live]
+    assert node.live_entries(0.5) == [live]
     assert node.record_size() == 2
+    assert node.end_live(4) == [live]
+    assert node.entries == [ended, (5, 0, 4, "w")]
+    assert node.live_count() == 0 and node.live_entries() == []
 
 
 def test_versions_must_be_non_decreasing():
@@ -173,15 +178,33 @@ def reachable_nodes(tree):
         node = tree.storage.disk.peek(node_id)
         nodes.append(node)
         if not node.is_leaf:
-            stack.extend(entry.value for entry in node.entries)
+            stack.extend(value for _, _, _, value in node.entries)
     return nodes
 
 
 def assert_node_invariants(tree):
     for node in reachable_nodes(tree):
-        order = [(e.key, e.start) for e in node.entries]
+        order = [(key, start) for key, start, _, _ in node.entries]
         assert order == sorted(order)
-        assert node.live_count() == sum(1 for e in node.entries if e.alive_now)
+        assert node.live_count() == sum(1 for _, _, end, _ in node.entries if end == INF)
+
+
+@pytest.mark.parametrize("block_size", [8, 9, 12, 16, 64])
+def test_restructuring_never_overflows_a_block(block_size):
+    """A parent takes up to two routers before its capacity check, so
+    every node ever written fits its block, also at small B."""
+    storage = make_storage(block_size=block_size)
+    tree = build_segment_ppbtree(storage, compute_sigma(random_points(500, 12)))
+    assert tree.capacity + 2 <= block_size
+    assert max(len(node.entries) for node in reachable_nodes(tree)) <= block_size
+
+
+@pytest.mark.parametrize("block_size", [2, 4, 7])
+def test_too_small_block_size_raises_before_any_io(block_size):
+    storage = make_storage(block_size=block_size)
+    with pytest.raises(ValueError, match="too small"):
+        MultiversionBTree(storage)
+    assert storage.io_total() == 0
 
 
 # (kind, key, version step): few distinct keys, so keys repeat and deletes
