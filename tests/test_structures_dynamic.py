@@ -20,7 +20,7 @@ from repro.structures import (
 )
 from repro.structures.dynamic_topopen import dynamic_query_bound, dynamic_update_bound
 from repro.structures.foursided import four_sided_query_bound
-from repro.workloads.points import uniform_points
+from repro.workloads.points import anticorrelated_points, uniform_points
 
 
 def make_storage(block_size=16):
@@ -433,3 +433,36 @@ def test_dynamic_index_layout_is_pinned():
         digest.update(repr([(p.x, p.y, p.ident) for p in answer]).encode())
     assert (storage.blocks_in_use(), storage.io_total()) == (3530, 27410)
     assert digest.hexdigest()[:16] == "f6a63c393475e9a4"
+
+
+def test_static_index_layout_is_pinned():
+    """The packed static layout is pinned too: build I/Os, blocks in use,
+    the I/Os of a seeded mix of every routed shape and the answers.  A
+    change to how a static structure searches inside its blocks must
+    leave all four bit-identical."""
+    storage = make_storage(16)
+    points = anticorrelated_points(3_000, universe=100_000, seed=7)
+    index = RangeSkylineIndex(storage, points)
+    build_io = storage.io_total()
+    rng = random.Random(8)
+    digest = hashlib.sha256()
+    routes = set()
+    for i in range(360):
+        cx = rng.uniform(0, 100_000)
+        cy = 100_000 - cx
+        w, h = rng.uniform(1_000, 12_000), rng.uniform(1_000, 12_000)
+        rect = (
+            RangeQuery(cx - w, cx + w, cy - h, INF),  # top-open
+            RangeQuery(cx - w, INF, cy - h, INF),  # dominance
+            RangeQuery(cx - w, cx + w, -INF, INF),  # x-slab
+            RangeQuery(cx - w, INF, cy - h, cy + h),  # right-open
+            RangeQuery(-INF, cx + w, cy - h, cy + h),  # left-open
+            RangeQuery(cx - w, cx + w, cy - h, cy + h),  # 4-sided
+        )[i % 6]
+        routes.add(index.route(rect))
+        answer = index.query(rect)
+        assert answer == sorted(range_skyline(points, rect), key=lambda p: p.x)
+        digest.update(repr([(p.x, p.y, p.ident) for p in answer]).encode())
+    assert routes == {"top-open", "right-open", "four-sided"}
+    assert (build_io, storage.blocks_in_use(), storage.io_total()) == (2484, 2516, 7575)
+    assert digest.hexdigest()[:16] == "c49f72b05425a997"
