@@ -28,7 +28,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence
 
-from repro.core.point import Point, resolve_victim_index
+from repro.core.point import Point, require_general_position, resolve_victim_index
 from repro.core.queries import (
     INF,
     STRUCTURE_FOUR_SIDED,
@@ -102,12 +102,10 @@ class RangeSkylineIndex:
         self.epsilon = epsilon
         self.points: List[Point] = list(points)
         if dynamic:
+            require_general_position([p.x for p in self.points], [p.y for p in self.points])
             # Live coordinates; only the last twin's delete frees them.
             self._xs = {p.x for p in self.points}
             self._ys = {p.y for p in self.points}
-            positions = {(p.x, p.y) for p in self.points}
-            if not len(self._xs) == len(positions) == len(self._ys):
-                raise ValueError("points must be in general position: two share an x or a y")
         self.x_max = max((p.x for p in self.points), default=-INF)
         self.y_max = max((p.y for p in self.points), default=-INF)
         if dynamic:

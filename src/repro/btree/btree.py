@@ -13,6 +13,8 @@ range" style queries along two root-to-leaf paths.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.btree.node import InternalNode, LeafNode
@@ -121,7 +123,10 @@ class BTree:
 
         Requires the tree to have been built with an ``aggregate`` hook.
         Visits the two boundary root-to-leaf paths and combines whole-subtree
-        aggregates in between: ``O(log_B n)`` I/Os.
+        aggregates in between: ``O(log_B n)`` I/Os.  Inside a node the
+        range is found by bisection, and the hook runs once over the values
+        and stored aggregates a child-by-child walk would collect, in the
+        same order, so the answer does not depend on the hook.
         """
         if self.aggregate is None:
             raise ValueError("tree was built without an aggregate function")
@@ -216,32 +221,35 @@ class BTree:
     ) -> None:
         node = self.storage.read(node_id)
         if node.is_leaf:
-            out.extend(
-                value
-                for key, value in zip(node.keys, node.values)
-                if key_lo <= key <= key_hi
-            )
+            keys = node.keys
+            lo = bisect_left(keys, key_lo)
+            out.extend(node.values[lo : bisect_right(keys, key_hi, lo)])
             return
-        for index, child_id in enumerate(node.children):
-            child_min = node.separators[index - 1] if index > 0 else None
-            child_max = node.separators[index]
-            # Prune children entirely outside the range.
-            if child_max < key_lo:
-                continue
-            if child_min is not None and child_min >= key_hi:
-                # Child may still contain keys in range if its min <= hi;
-                # separators store subtree maxima, so child_min here is the
-                # previous child's max -- keys of this child exceed it.
-                if child_min > key_hi:
-                    break
-            prev_max = node.separators[index - 1] if index > 0 else float("-inf")
-            if prev_max >= key_lo and child_max <= key_hi:
-                # Fully contained subtree: use the stored aggregate.
-                out.append(node.aggregates[index])
-            else:
-                self._collect_range_aggregate(child_id, key_lo, key_hi, out)
-            if child_max >= key_hi:
-                break
+        # Separators are subtree maxima: children before ``first`` hold
+        # only keys below ``key_lo``, children after ``stop`` only keys
+        # above ``key_hi``, and every child strictly between them lies
+        # wholly inside the range.
+        separators = node.separators
+        first = bisect_left(separators, key_lo)
+        last = len(node.children) - 1
+        if first > last or (first > 0 and separators[first - 1] > key_hi):
+            return
+        stop = min(bisect_left(separators, key_hi, first), last)
+        self._collect_child_aggregate(node, first, key_lo, key_hi, out)
+        if stop > first:
+            out.extend(node.aggregates[first + 1 : stop])
+            self._collect_child_aggregate(node, stop, key_lo, key_hi, out)
+
+    def _collect_child_aggregate(
+        self, node: InternalNode, index: int, key_lo: Any, key_hi: Any, out: List[Any]
+    ) -> None:
+        """The stored aggregate of child ``index`` when its whole subtree
+        lies in the range, else what its subtree contributes."""
+        prev_max = node.separators[index - 1] if index > 0 else -math.inf
+        if prev_max >= key_lo and node.separators[index] <= key_hi:
+            out.append(node.aggregates[index])
+        else:
+            self._collect_range_aggregate(node.children[index], key_lo, key_hi, out)
 
     # ------------------------------------------------------------------
     # Internal helpers: insertion

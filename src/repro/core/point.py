@@ -63,6 +63,16 @@ def in_general_position(points: Sequence[Point]) -> bool:
     return len(xs) == len(points) and len(ys) == len(points)
 
 
+def require_general_position(xs: Sequence[float], ys: Sequence[float]) -> None:
+    """``ValueError`` when two of the points ``zip(xs, ys)`` share one
+    coordinate but not the other; exact twins pass."""
+    distinct_x, distinct_y = len(set(xs)), len(set(ys))
+    if distinct_x == distinct_y == len(xs):
+        return
+    if not distinct_x == len(set(zip(xs, ys))) == distinct_y:
+        raise ValueError("points must be in general position: two share an x or a y")
+
+
 def ensure_general_position(points: Iterable[Point]) -> List[Point]:
     """Perturb duplicated coordinates by symbolic tie-breaking.
 

@@ -30,27 +30,38 @@ class MultiversionBTree:
 
     def __init__(self, storage: StorageManager) -> None:
         self.storage = storage
+        (
+            self.capacity,
+            self.live_min,
+            self.strong_low,
+            self.strong_high,
+        ) = self.node_limits(storage.block_size)
+        # roots[i] = (first version covered, block id); kept sorted by version.
+        self.roots: List[Tuple[float, int]] = []
+        self.current_version = -INF
+        self.update_count = 0
+        self.version_copies = 0
+
+    @staticmethod
+    def node_limits(block_size: int) -> Tuple[int, int, int, int]:
+        """``(capacity, live_min, strong_low, strong_high)`` of a node in a
+        block of ``block_size`` records; ``ValueError`` below B = 8."""
         # A restructuring step adds up to two routers to a parent before it
         # checks the parent's capacity, so a node at capacity must still fit
         # its block with two more entries.  From B = 12 up a node keeps four
         # entries of slack.
-        block_size = storage.block_size
-        self.capacity = min(max(8, block_size - 4), block_size - 2)
-        self.live_min = max(2, self.capacity // 5)
-        self.strong_low = max(self.live_min + 1, (2 * self.capacity) // 5)
-        self.strong_high = max(self.strong_low + 2, (4 * self.capacity) // 5)
-        if self.strong_high >= self.capacity:
+        capacity = min(max(8, block_size - 4), block_size - 2)
+        live_min = max(2, capacity // 5)
+        strong_low = max(live_min + 1, (2 * capacity) // 5)
+        strong_high = max(strong_low + 2, (4 * capacity) // 5)
+        if strong_high >= capacity:
             # A version copy that does not split must leave room for the
             # insert that caused it, or the insert would copy forever.
             raise ValueError(
                 f"block size {block_size} is too small for a multiversion "
                 "B-tree node (the strong version condition needs B >= 8)"
             )
-        # roots[i] = (first version covered, block id); kept sorted by version.
-        self.roots: List[Tuple[float, int]] = []
-        self.current_version = -INF
-        self.update_count = 0
-        self.version_copies = 0
+        return capacity, live_min, strong_low, strong_high
 
     # ------------------------------------------------------------------
     # Updates (applied at non-decreasing versions)

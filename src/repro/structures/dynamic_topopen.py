@@ -28,13 +28,17 @@ static index.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.point import Point, resolve_victim_index
 from repro.core.queries import RangeQuery
 from repro.em.storage import StorageManager
 from repro.pqa.iocpqa import IOCPQA
+
+_X = attrgetter("x")
 
 
 @dataclass
@@ -341,27 +345,31 @@ class DynamicTopOpenStructure:
         """Queues of the canonical decomposition of ``[x_lo, x_hi]`` under ``node_id``."""
         node = self.storage.read(node_id)
         if node.is_leaf:
-            in_range = [p for p in node.points if x_lo <= p.x <= x_hi]
-            if not in_range:
+            points = node.points
+            lo = bisect_left(points, x_lo, key=_X)
+            hi = bisect_right(points, x_hi, lo, key=_X)
+            if lo == hi:
                 return []
-            if in_range == node.points and node.queue is not None:
+            if lo == 0 and hi == len(points) and node.queue is not None:
                 return [node.queue]
             return [
                 IOCPQA.build_in_memory(
                     self.storage,
-                    [(-p.y, p) for p in in_range],
+                    [(-p.y, p) for p in points[lo:hi]],
                     self.record_capacity,
                 )
             ]
         queues: List[IOCPQA] = []
-        for index, child_id in enumerate(node.children):
+        separators = node.separators
+        # Separators are non-decreasing (see _refresh_path), so every
+        # child before the first whose separator reaches x_lo holds only
+        # points left of x_lo.
+        for index in range(bisect_left(separators, x_lo), len(node.children)):
             # The child's points all have x in (prev_sep, child_hi].
-            prev_sep = node.separators[index - 1] if index > 0 else -math.inf
-            child_hi = node.separators[index]
+            prev_sep = separators[index - 1] if index > 0 else -math.inf
+            child_hi = separators[index]
             if prev_sep >= x_hi:
                 break
-            if child_hi < x_lo:
-                continue
             if prev_sep >= x_lo and child_hi <= x_hi:
                 # Canonical node: its whole subtree is inside the x-range, so
                 # its pre-built queue (stored in this block) is used directly.
@@ -369,7 +377,7 @@ class DynamicTopOpenStructure:
                 if queue is not None:
                     queues.append(queue)
                 continue
-            queues.extend(self._range_queues(child_id, x_lo, x_hi))
+            queues.extend(self._range_queues(node.children[index], x_lo, x_hi))
         return queues
 
     # ------------------------------------------------------------------

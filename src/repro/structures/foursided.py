@@ -35,6 +35,8 @@ keep the reporting term at ``k/B``.  Updates on it raise ``TypeError``.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -58,9 +60,22 @@ def _strictly_above(value: float) -> float:
 
 @dataclass
 class _LeafBlock:
-    """A leaf of the base tree: up to ``2B`` points sorted by x."""
+    """A leaf of the base tree: up to ``B`` points sorted by x.
+
+    ``xs`` and ``ys`` hold the points' coordinates as two columns: the
+    same records laid out for :meth:`FourSidedStructure._leaf_skyline` to
+    scan without touching a :class:`Point` it does not report.  Every
+    write of a leaf refills them (:meth:`fill_columns`).
+    """
 
     points: List[Point] = field(default_factory=list)
+    xs: "array[float]" = field(default_factory=lambda: array("d"))
+    ys: "array[float]" = field(default_factory=lambda: array("d"))
+
+    def fill_columns(self) -> None:
+        """Rewrite the coordinate columns from :attr:`points`."""
+        self.xs = array("d", [p.x for p in self.points])
+        self.ys = array("d", [p.y for p in self.points])
 
     @property
     def is_leaf(self) -> bool:
@@ -146,13 +161,17 @@ class FourSidedStructure:
             return
         # Each point is swapped once; a node's subtree is a contiguous run
         # of ``ordered``, so its right-open structure gets the same run of
-        # ``swapped``.  Level entries are (block id, x-max, run start, run end).
+        # ``swapped`` and each leaf its run of the coordinate columns.
+        # Level entries are (block id, x-max, run start, run end).
         swapped = [_swap(p) for p in ordered]
+        xs = array("d", [p.x for p in ordered])
+        ys = array("d", [p.y for p in ordered])
         level: List[Tuple[int, float, int, int]] = []
         for start in range(0, len(ordered), leaf_fill):
-            chunk = ordered[start : start + leaf_fill]
-            leaf_id = self.storage.create(_LeafBlock(points=chunk))
-            level.append((leaf_id, chunk[-1].x, start, start + len(chunk)))
+            end = min(start + leaf_fill, len(ordered))
+            leaf = _LeafBlock(ordered[start:end], xs[start:end], ys[start:end])
+            leaf_id = self.storage.create(leaf)
+            level.append((leaf_id, ordered[end - 1].x, start, end))
         while len(level) > 1:
             next_level: List[Tuple[int, float, int, int]] = []
             # One group left means this level builds the root.
@@ -196,6 +215,7 @@ class FourSidedStructure:
             return
         leaf.points.append(point)
         leaf.points.sort(key=lambda p: p.x)
+        leaf.fill_columns()
         self.storage.write(leaf_id, leaf)
         for node_id, node in path[:-1]:
             # A point past the rightmost separator descends into the last
@@ -234,6 +254,7 @@ class FourSidedStructure:
         leaf_victim = resolve_victim_index(leaf.points, stored)
         if leaf_victim is not None:
             del leaf.points[leaf_victim]
+            leaf.fill_columns()
         self.storage.write(leaf_id, leaf)
         for node_id, node in path[:-1]:
             if node.right_open is not None:
@@ -338,12 +359,33 @@ class FourSidedStructure:
     def _leaf_skyline(
         self, leaf: _LeafBlock, x_lo: float, x_hi: float, y_lo: float, y_hi: float
     ) -> List[Point]:
-        selected = [
-            p
-            for p in leaf.points
-            if x_lo <= p.x <= x_hi and y_lo <= p.y <= y_hi
-        ]
-        return skyline(selected)
+        """The skyline of the leaf's points inside the rectangle, by x.
+
+        Bisects the x-window in the ``xs`` column and sweeps the ``ys``
+        column right to left, reporting a position when its y lies in
+        ``[y_lo, y_hi]`` and exceeds every y selected to its right; only
+        reported positions are looked up in ``points``.  When a reported
+        point shares its x with another point of the window, the sweep's
+        order among them is not :func:`skyline`'s, so that case returns
+        ``skyline`` of the filtered points.
+        """
+        xs, ys = leaf.xs, leaf.ys
+        lo = bisect_left(xs, x_lo)
+        hi = bisect_right(xs, x_hi, lo)
+        found: List[int] = []
+        best = -math.inf
+        for i in range(hi - 1, lo - 1, -1):
+            y = ys[i]
+            if y_lo <= y <= y_hi and y > best:
+                found.append(i)
+                best = y
+        points = leaf.points
+        for i in found:
+            x = xs[i]
+            if (i > lo and xs[i - 1] == x) or (i + 1 < hi and xs[i + 1] == x):
+                return skyline([p for p in points[lo:hi] if y_lo <= p.y <= y_hi])
+        found.reverse()
+        return [points[i] for i in found]
 
     # ------------------------------------------------------------------
     # Accounting

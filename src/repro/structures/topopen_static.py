@@ -28,7 +28,7 @@ from operator import attrgetter
 from typing import Iterable, List, Sequence
 
 from repro.btree.rangemax import RangeMaxBTree
-from repro.core.point import Point
+from repro.core.point import Point, require_general_position
 from repro.core.queries import RangeQuery
 from repro.em.storage import StorageManager
 from repro.ppbtree.build import build_sigma_ppbtree
@@ -69,9 +69,17 @@ class StaticTopOpenStructure:
     def _build(
         self, storage: StorageManager, ordered: List[Point], exchanged: bool = False
     ) -> None:
-        """Build over ``ordered``, sorted by x (by y when ``exchanged``)."""
+        """Build over ``ordered``, sorted by x (by y when ``exchanged``).
+
+        Refuses, with ``ValueError`` and before any I/O, a block size the
+        PPB-tree cannot run at (B < 8) and two points sharing exactly one
+        coordinate: ``Sigma(P)`` would give the dominated one a segment of
+        zero length, or one that reports it.  Exact twins are accepted.
+        """
+        MultiversionBTree.node_limits(storage.block_size)
         xs = [p.x for p in ordered]
         ys = [p.y for p in ordered]
+        require_general_position(xs, ys)
         if exchanged:
             xs, ys = ys, xs
         self.storage = storage

@@ -94,13 +94,38 @@ def test_static_index_builds_and_answers_at_block_size_8():
     [
         [Point(1, 5, 0), Point(1, 7, 1), Point(3, 2, 2)],  # one x, the later higher
         [Point(1, 5, 0), Point(2, 5, 1), Point(3, 2, 2)],  # one y, the later right
+        [Point(1, 7, 0), Point(1, 5, 1), Point(3, 2, 2)],  # one x, the later lower
+        [Point(2, 5, 0), Point(1, 5, 1), Point(3, 2, 2)],  # one y, the later left
     ],
 )
 def test_static_index_rejects_points_sharing_a_coordinate(points):
-    """Sigma(P) would hold a segment of zero length: the static build
-    refuses the input instead of indexing a dominated point."""
-    with pytest.raises(ValueError, match="positive length"):
-        RangeSkylineIndex(make_storage(), points)
+    """Two points sharing exactly one coordinate, in either order, would
+    give the dominated one a zero-length segment of Sigma(P) or one that
+    reports it: the static build refuses the input before any I/O."""
+    storage = make_storage()
+    with pytest.raises(ValueError, match="general position"):
+        RangeSkylineIndex(storage, points)
+    assert (storage.io_total(), storage.blocks_in_use()) == (0, 0)
+
+
+def test_static_index_rejects_a_small_block_before_any_io():
+    """The PPB-tree needs B >= 8; a static index below that refuses
+    before it charges an I/O or allocates a block."""
+    storage = StorageManager(EMConfig(block_size=4, memory_blocks=32))
+    with pytest.raises(ValueError, match="B >= 8"):
+        RangeSkylineIndex(storage, random_points(200, 4_000, 45))
+    assert (storage.io_total(), storage.blocks_in_use()) == (0, 0)
+
+
+def test_static_index_accepts_exact_twins():
+    """Exact twins are accepted, and every answer holds the oracle's
+    coordinates (ROADMAP item 10 owns which twins an answer lists)."""
+    points = random_points(300, 4_000, 46)
+    points.append(Point(points[7].x, points[7].y, 999))
+    index = RangeSkylineIndex(make_storage(), points)
+    for query in all_variant_queries(4_000, 40, 47):
+        expected = {(p.x, p.y) for p in range_skyline(points, query)}
+        assert {(p.x, p.y) for p in index.query(query)} == expected, query
 
 
 def test_static_right_open_answers_are_the_indexed_points():

@@ -165,3 +165,82 @@ def test_range_max_btree_updates():
     assert tree.delete(Point(10, 90, 10))
     assert tree.max_y_in(10, 20) == 89
     assert tree.max_y_in(10, 10) is None
+
+
+def reference_range_aggregate(tree, key_lo, key_hi, read):
+    """The child-by-child walk that bisection replaced, kept as the
+    reference: the values it collects and the nodes it reads, via
+    ``read``, in order."""
+    out = []
+
+    def walk(node_id):
+        node = read(node_id)
+        if node.is_leaf:
+            out.extend(v for k, v in zip(node.keys, node.values) if key_lo <= k <= key_hi)
+            return
+        for index, child_id in enumerate(node.children):
+            child_min = node.separators[index - 1] if index > 0 else None
+            child_max = node.separators[index]
+            if child_max < key_lo:
+                continue
+            if child_min is not None and child_min > key_hi:
+                break
+            prev_max = node.separators[index - 1] if index > 0 else float("-inf")
+            if prev_max >= key_lo and child_max <= key_hi:
+                out.append(node.aggregates[index])
+            else:
+                walk(child_id)
+            if child_max >= key_hi:
+                break
+
+    walk(tree.root_id)
+    return max(out) if out else None
+
+
+def traced_reads(storage):
+    """Record every block id ``storage.read`` is asked for."""
+    trace = []
+    read = storage.read
+
+    def recording_read(block_id):
+        trace.append(block_id)
+        return read(block_id)
+
+    storage.read = recording_read
+    return trace
+
+
+@pytest.mark.parametrize("build", ["bulk", "inserts"])
+def test_range_aggregate_matches_brute_force_and_the_child_walk(build):
+    """Bisected range aggregates equal a brute-force max and read the
+    nodes the child-by-child walk reads, in its order, for ranges with
+    infinite ends, empty ranges, keys outside the span and bounds that
+    fall between two keys or on one."""
+    rng = random.Random(60)
+    keys = list(range(0, 400, 2))
+    values = {key: rng.uniform(0, 1_000) for key in keys}
+    storage = make_storage()
+    if build == "bulk":
+        tree = bulk_load_sorted(
+            storage, [(k, values[k]) for k in keys], leaf_capacity=4, fanout=4, aggregate=max
+        )
+    else:
+        tree = BTree(storage, leaf_capacity=4, fanout=4, aggregate=max)
+        for key in rng.sample(keys, len(keys)):
+            tree.insert(key, values[key])
+        for key in rng.sample(keys, 60):
+            assert tree.delete(key)
+            del values[key]
+    assert tree.height() >= 3
+    bounds = [float("-inf"), float("inf"), -7, 0, 1, 398, 399, 512]
+    bounds += rng.sample(range(-3, 403), 40)
+    trace = traced_reads(storage)
+    for _ in range(600):
+        lo, hi = rng.choice(bounds), rng.choice(bounds)
+        expected = max((v for k, v in values.items() if lo <= k <= hi), default=None)
+        del trace[:]
+        assert tree.range_aggregate(lo, hi) == expected, (lo, hi)
+        walked = list(trace)
+        del trace[:]
+        assert reference_range_aggregate(tree, lo, hi, storage.read) == expected
+        assert walked == trace, (lo, hi)

@@ -466,3 +466,179 @@ def test_static_index_layout_is_pinned():
     assert routes == {"top-open", "right-open", "four-sided"}
     assert (build_io, storage.blocks_in_use(), storage.io_total()) == (2484, 2516, 7575)
     assert digest.hexdigest()[:16] == "c49f72b05425a997"
+
+
+# ----------------------------------------------------------------------
+# In-block searches: the column sweep of the 4-sided leaves and the
+# bisected R(u) descent, against the loops they replaced
+# ----------------------------------------------------------------------
+def reference_leaf_skyline(leaf, x_lo, x_hi, y_lo, y_hi):
+    """The filter-then-skyline loop the column sweep replaced."""
+    return skyline(
+        [p for p in leaf.points if x_lo <= p.x <= x_hi and y_lo <= p.y <= y_hi]
+    )
+
+
+def stored_nodes(structure):
+    """Every node of a base tree, read without charging an I/O."""
+    structure.storage.flush()
+    nodes, stack = [], [structure.root_id]
+    while stack:
+        node_id = stack.pop()
+        node = structure.storage.disk.peek(node_id)
+        nodes.append((node_id, node))
+        if not node.is_leaf:
+            stack.extend(node.children)
+    return nodes
+
+
+def assert_columns_match(structure):
+    for _, node in stored_nodes(structure):
+        if node.is_leaf:
+            assert list(node.xs) == [p.x for p in node.points]
+            assert list(node.ys) == [p.y for p in node.points]
+
+
+def idents(points):
+    return [(p.x, p.y, p.ident) for p in points]
+
+
+grid_bound = st.one_of(
+    st.sampled_from([-INF, INF]),
+    st.integers(-1, 10),
+    st.integers(-1, 10).map(lambda v: v + 0.5),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=70),
+    dynamic=st.booleans(),
+    windows=st.lists(st.tuples(grid_bound, grid_bound, grid_bound, grid_bound), max_size=15),
+)
+def test_leaf_skyline_matches_filter_then_skyline(cells, dynamic, windows):
+    """On a small grid (equal-x runs and exact twins in most leaves),
+    the column sweep returns exactly what filtering the leaf and calling
+    skyline() returns, idents and order included, in both layouts.
+    Windows take infinite ends, bounds on a coordinate or between two,
+    and empty or inverted ranges; every point of a leaf is also the
+    corner of a few."""
+    points = [Point(float(x), float(y), i) for i, (x, y) in enumerate(cells)]
+    structure = FourSidedStructure(make_storage(16), points, dynamic=dynamic)
+    leaves = [node for _, node in stored_nodes(structure) if node.is_leaf]
+    assert_columns_match(structure)
+    for leaf in leaves:
+        # Windows with a corner on each point of the leaf.
+        corners = [(p.x, p.x, p.y, p.y) for p in leaf.points]
+        corners += [(p.x, INF, p.y, INF) for p in leaf.points]
+        corners += [(-INF, p.x, -INF, p.y) for p in leaf.points]
+        for window in windows + corners + [(-INF, INF, -INF, INF)]:
+            assert idents(structure._leaf_skyline(leaf, *window)) == idents(
+                reference_leaf_skyline(leaf, *window)
+            ), window
+
+
+def test_dynamic_leaf_columns_follow_every_leaf_write():
+    """Inserts, deletes and the rebuilds a full leaf forces all refill
+    the leaf columns, and answers keep matching range_skyline."""
+    storage = make_storage(8)
+    points = random_points(100, 5_000, 50)
+    structure = FourSidedStructure(storage, points)
+    rebuilds = []
+    rebuild = structure._rebuild
+    structure._rebuild = lambda: (rebuilds.append(structure._needs_rebuild()), rebuild())[1]
+    rng = random.Random(51)
+    live = list(points)
+    # A tight cluster fills one leaf (B/2 points at build, B at most).
+    cluster = [Point(2_500.5 + i / 64, 6_000.5 + i, 1_000 + i) for i in range(12)]
+    others = [Point(x + 0.5, y + 0.5, 2_000 + i) for i, (x, y) in enumerate(
+        zip(rng.sample(range(5_000), 40), rng.sample(range(5_000), 40))
+    )]
+    for step, point in enumerate(cluster + others):
+        structure.insert(point)
+        live.append(point)
+        if step % 3 == 2:
+            victim = live.pop(rng.randrange(len(live)))
+            assert structure.delete(victim)
+        assert_columns_match(structure)
+        for _ in range(4):
+            x_lo, x_hi = sorted(rng.uniform(0, 5_000) for _ in range(2))
+            y_lo, y_hi = sorted(rng.uniform(0, 7_000) for _ in range(2))
+            expected = sorted(
+                range_skyline(live, FourSidedQuery(x_lo, x_hi, y_lo, y_hi)),
+                key=lambda p: p.x,
+            )
+            assert idents(structure.query_four_sided(x_lo, x_hi, y_lo, y_hi)) == idents(
+                expected
+            )
+    # A full leaf forced a rebuild, and so did the update count.
+    assert False in rebuilds and True in rebuilds
+
+
+def reference_range_nodes(structure, x_lo, x_hi):
+    """Node ids the child-by-child R(u) descent that bisection replaced
+    reads, in order (its leaf filter never reads a block)."""
+    read = []
+
+    def walk(node_id):
+        node = structure.storage.disk.peek(node_id)
+        read.append(node_id)
+        if node.is_leaf:
+            return
+        for index, child_id in enumerate(node.children):
+            prev_sep = node.separators[index - 1] if index > 0 else -INF
+            child_hi = node.separators[index]
+            if prev_sep >= x_hi:
+                break
+            if child_hi < x_lo:
+                continue
+            if prev_sep >= x_lo and child_hi <= x_hi:
+                continue
+            walk(child_id)
+
+    walk(structure.root_id)
+    return read
+
+
+@pytest.mark.parametrize("dynamic", [True, False])
+def test_right_open_queries_on_separators_and_leaf_edges(dynamic):
+    """R(u) queries whose x-range ends sit exactly on a separator or on
+    the first or last x of a leaf match range_skyline and read the tree
+    nodes the child-by-child descent reads, in both layouts (the
+    dynamic one after updates have moved its separators)."""
+    storage = make_storage(16)
+    points = random_points(600, 20_000, 52)
+    structure = DynamicTopOpenStructure(storage, points, epsilon=0.5, dynamic=dynamic)
+    rng = random.Random(53)
+    live = list(points)
+    if dynamic:
+        for i in range(150):
+            point = Point(rng.uniform(0, 20_000) + 0.25, rng.uniform(0, 20_000) + 0.25, 5_000 + i)
+            structure.insert(point)
+            live.append(point)
+        for victim in rng.sample(live, 120):
+            assert structure.delete(victim)
+            live.remove(victim)
+    nodes = stored_nodes(structure)
+    assert structure.height() >= 3
+    edges = set()
+    for _, node in nodes:
+        if node.is_leaf:
+            if node.points:
+                edges.update((node.points[0].x, node.points[-1].x))
+        else:
+            edges.update(node.separators)
+    edges = sorted(edges)
+    node_ids = {node_id for node_id, _ in nodes}
+    trace = []
+    read = storage.read
+    storage.read = lambda block_id: (trace.append(block_id), read(block_id))[1]
+    for _ in range(300):
+        x_lo, x_hi = sorted((rng.choice(edges), rng.choice(edges + [-INF, INF])))
+        y_lo = rng.choice([-INF, rng.uniform(0, 20_000), rng.choice(live).y])
+        expected = sorted(range_skyline(live, TopOpenQuery(x_lo, x_hi, y_lo)), key=lambda p: p.x)
+        del trace[:]
+        assert idents(structure.query_top_open(x_lo, x_hi, y_lo)) == idents(expected)
+        assert [b for b in trace if b in node_ids] == reference_range_nodes(
+            structure, x_lo, x_hi
+        ), (x_lo, x_hi)
